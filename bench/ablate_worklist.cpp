@@ -6,9 +6,9 @@
 // worklist severely limits performance because work elements must be added
 // and removed atomically." This bench runs both drivers on the same mesh
 // and reports the atomics bill and modeled time. A third arm reruns the
-// data-driven driver with --worklist-mode=sharded forced on, so the
+// data-driven driver with its sharded queue (dmr::DataDrivenQueue), so the
 // centralized-vs-sharded contention split (wl-contended ops vs local ring
-// ops) is visible in one report whatever mode the harness was given.
+// ops) is visible in one report.
 #include "bench_common.hpp"
 #include "dmr/delaunay.hpp"
 #include "dmr/refine.hpp"
@@ -21,74 +21,44 @@ int run_bench(int argc, char** argv) {
       "the centralized worklist pays an atomic per push/pop", {"triangles"});
   const std::size_t n = static_cast<std::size_t>(
       bench.args().get_positive_int("triangles", 50000));
-  dmr::Mesh base = dmr::generate_input_mesh(n, 27);
+  const dmr::Mesh base = dmr::generate_input_mesh(n, 27);
 
   Table t({"driver", "model-ms", "rounds", "processed", "abort-ratio",
            "atomics x1e3", "wl-contended x1e3", "steals", "bad after"});
-  {
+  // One arm: refine a copy of the base mesh on a fresh device, then add
+  // the table row and the report row.
+  const auto arm = [&](const char* label, const char* key, auto&& refine) {
     dmr::Mesh m = base;
     gpu::Device dev(bench.device_config());
-    const dmr::RefineStats st = dmr::refine_gpu(m, dev);
+    const dmr::RefineStats st = refine(m, dev);
     const std::size_t bad_after = m.compute_all_bad(30.0);
-    t.add_row({"topology-driven (local chunks)",
-               bench.fmt_ms(bench.model_ms(st.modeled_cycles)),
+    t.add_row({label, bench.fmt_ms(bench.model_ms(st.modeled_cycles)),
                std::to_string(st.rounds), std::to_string(st.processed),
                Table::num(st.abort_ratio(), 2),
                Table::num(dev.stats().atomics / 1e3, 1),
                Table::num(dev.stats().wl_contended_ops / 1e3, 1),
                std::to_string(dev.stats().wl_steals),
                std::to_string(bad_after)});
-    auto& rep = bench.add_row("topology-driven");
+    auto& rep = bench.add_row(key);
     bench.add_device_metrics(rep, dev);
     rep.metric("rounds", static_cast<double>(st.rounds))
         .metric("processed", static_cast<double>(st.processed))
         .metric("abort_ratio", st.abort_ratio())
         .metric("bad_after", static_cast<double>(bad_after));
-  }
-  {
-    dmr::Mesh m = base;
-    gpu::DeviceConfig cfg = bench.device_config();
-    cfg.worklist_mode = gpu::WorklistMode::kCentralized;
-    gpu::Device dev(cfg);
-    const dmr::RefineStats st = dmr::refine_gpu_datadriven(m, dev);
-    const std::size_t bad_after = m.compute_all_bad(30.0);
-    t.add_row({"data-driven (central worklist)",
-               bench.fmt_ms(bench.model_ms(st.modeled_cycles)),
-               std::to_string(st.rounds), std::to_string(st.processed),
-               Table::num(st.abort_ratio(), 2),
-               Table::num(dev.stats().atomics / 1e3, 1),
-               Table::num(dev.stats().wl_contended_ops / 1e3, 1),
-               std::to_string(dev.stats().wl_steals),
-               std::to_string(bad_after)});
-    auto& rep = bench.add_row("data-driven");
-    bench.add_device_metrics(rep, dev);
-    rep.metric("rounds", static_cast<double>(st.rounds))
-        .metric("processed", static_cast<double>(st.processed))
-        .metric("abort_ratio", st.abort_ratio())
-        .metric("bad_after", static_cast<double>(bad_after));
-  }
-  {
-    dmr::Mesh m = base;
-    gpu::DeviceConfig cfg = bench.device_config();
-    cfg.worklist_mode = gpu::WorklistMode::kSharded;
-    gpu::Device dev(cfg);
-    const dmr::RefineStats st = dmr::refine_gpu_datadriven(m, dev);
-    const std::size_t bad_after = m.compute_all_bad(30.0);
-    t.add_row({"data-driven (sharded worklist)",
-               bench.fmt_ms(bench.model_ms(st.modeled_cycles)),
-               std::to_string(st.rounds), std::to_string(st.processed),
-               Table::num(st.abort_ratio(), 2),
-               Table::num(dev.stats().atomics / 1e3, 1),
-               Table::num(dev.stats().wl_contended_ops / 1e3, 1),
-               std::to_string(dev.stats().wl_steals),
-               std::to_string(bad_after)});
-    auto& rep = bench.add_row("data-driven-sharded");
-    bench.add_device_metrics(rep, dev);
-    rep.metric("rounds", static_cast<double>(st.rounds))
-        .metric("processed", static_cast<double>(st.processed))
-        .metric("abort_ratio", st.abort_ratio())
-        .metric("bad_after", static_cast<double>(bad_after));
-  }
+  };
+  const auto data_driven = [](dmr::DataDrivenQueue queue) {
+    return [queue](dmr::Mesh& m, gpu::Device& dev) {
+      dmr::RefineOptions opts;
+      opts.queue = queue;
+      return dmr::refine_gpu_datadriven(m, dev, opts);
+    };
+  };
+  arm("topology-driven (local chunks)", "topology-driven",
+      [](dmr::Mesh& m, gpu::Device& dev) { return dmr::refine_gpu(m, dev); });
+  arm("data-driven (central worklist)", "data-driven",
+      data_driven(dmr::DataDrivenQueue::kCentral));
+  arm("data-driven (sharded worklist)", "data-driven-sharded",
+      data_driven(dmr::DataDrivenQueue::kSharded));
   t.print(std::cout);
   return bench.finish();
 }

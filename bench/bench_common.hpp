@@ -18,12 +18,6 @@
 //   --faults=<spec>     arm a deterministic fault-injection campaign on every
 //                       device the bench constructs (docs/RESILIENCE.md);
 //                       --fault-seed=<n> keys its probabilistic clauses.
-//   --worklist-mode=M   worklist organization for the data-driven drivers:
-//                       "centralized" (default; one GlobalWorklist) or
-//                       "sharded" (per-block shard rings with deterministic
-//                       stealing; see DESIGN.md "Sharded worklists").
-//                       --worklist-shards=N overrides the shard count
-//                       (0 = auto, 4 per SM).
 //   --sanitize=<spec>   arm the MorphSan hazard checker (docs/ANALYSIS.md)
 //                       on every device the bench constructs; <spec> is a
 //                       comma list of races,worklist,memory,barriers or
@@ -67,28 +61,13 @@ class Bench {
         std::vector<std::string> extra_flags = {})
       : args_(argc, argv) {
     std::vector<std::string> known = {"host-workers", "json",      "trace",
-                                      "trace-blocks", "clock-ghz",
-                                      "worklist-mode", "worklist-shards",
-                                      "sanitize"};
+                                      "trace-blocks", "clock-ghz", "sanitize"};
     const auto& fault_flags = resilience::fault_cli_flags();
     known.insert(known.end(), fault_flags.begin(), fault_flags.end());
     known.insert(known.end(), extra_flags.begin(), extra_flags.end());
     args_.warn_unknown(known, std::cerr);
 
     base_cfg_.host_workers = host_workers_arg(args_);
-    const std::string wm = args_.get("worklist-mode", "centralized");
-    if (!gpu::parse_worklist_mode(wm, &base_cfg_.worklist_mode)) {
-      std::cerr << "error: --worklist-mode must be 'centralized' or "
-                   "'sharded' (got '"
-                << wm << "')\n";
-      std::exit(2);
-    }
-    const int ws = args_.get_int("worklist-shards", 0);
-    if (ws < 0) {
-      std::cerr << "error: --worklist-shards must be >= 0 (0 = auto)\n";
-      std::exit(2);
-    }
-    base_cfg_.worklist_shards = static_cast<std::uint32_t>(ws);
     if (args_.has("sanitize")) {
       analysis::SanitizeOptions sopts;
       std::string spec = args_.get("sanitize", "all");

@@ -43,7 +43,6 @@ int run_bench(int argc, char** argv) {
   base.max_phases = 3;
   base.decimate_frac = 0.01;
   base.walksat_flips = 1;  // the endgame is not part of the measurement
-  base.walksat_auto_budget = false;
 
   Table t({"M x1e6 (paper)", "N x1e6 (paper)", "K", "Galois-48 model-ms",
            "GPU model-ms", "ratio", "GPU wall-s"});

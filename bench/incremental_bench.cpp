@@ -2,7 +2,7 @@
 // persistent MST / PTA state must (a) cost O(changes) — modeled cycles per
 // batch scale with the batch, not with the accumulated input — and (b) land
 // byte-identically on the from-scratch answer for the same final input,
-// for every --host-workers count and worklist mode.
+// for every --host-workers count.
 //
 // Inputs are the clustered generators built for this workload
 // (graph::gen_clustered / pta::clustered_program): updates stay inside
@@ -31,21 +31,15 @@ using graph::CsrGraph;
 using graph::Edge;
 using graph::Node;
 
-/// The identity matrix: one device configuration per (host-workers,
-/// worklist-mode) corner. Digests must agree across all of them.
+/// The identity matrix: one device configuration per host-workers count.
+/// Digests must agree across all of them.
 std::vector<std::pair<std::string, gpu::DeviceConfig>> config_matrix(
     const gpu::DeviceConfig& base) {
   std::vector<std::pair<std::string, gpu::DeviceConfig>> out;
   for (const std::uint32_t hw : {1u, 4u}) {
-    for (const gpu::WorklistMode wm :
-         {gpu::WorklistMode::kCentralized, gpu::WorklistMode::kSharded}) {
-      gpu::DeviceConfig cfg = base;
-      cfg.host_workers = hw;
-      cfg.worklist_mode = wm;
-      const char* wname =
-          wm == gpu::WorklistMode::kCentralized ? "centralized" : "sharded";
-      out.emplace_back("hw" + std::to_string(hw) + "/" + wname, cfg);
-    }
+    gpu::DeviceConfig cfg = base;
+    cfg.host_workers = hw;
+    out.emplace_back("hw" + std::to_string(hw), cfg);
   }
   return out;
 }

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "gpu/config.hpp"
 #include "resilience/fault.hpp"
 #include "support/cli.hpp"
 #include "support/status.hpp"
@@ -24,8 +23,6 @@ class ExampleCli {
   ExampleCli(int argc, char** argv, std::vector<std::string> known)
       : args_(argc, argv) {
     known.push_back("host-workers");
-    known.push_back("worklist-mode");
-    known.push_back("worklist-shards");
     const auto& fault_flags = resilience::fault_cli_flags();
     known.insert(known.end(), fault_flags.begin(), fault_flags.end());
     args_.warn_unknown(known, std::cerr);
@@ -41,24 +38,6 @@ class ExampleCli {
   /// gpu::DeviceConfig::faults; this object must outlive the devices.
   const resilience::FaultPlan* faults() const {
     return plan_ ? &*plan_ : nullptr;
-  }
-
-  /// Applies --worklist-mode / --worklist-shards to a device configuration
-  /// (exit 2 on a bad value), same semantics as the bench harness.
-  void apply_worklist_flags(gpu::DeviceConfig& cfg) const {
-    const std::string wm = args_.get("worklist-mode", "centralized");
-    if (!gpu::parse_worklist_mode(wm, &cfg.worklist_mode)) {
-      std::cerr << "error: --worklist-mode must be 'centralized' or "
-                   "'sharded' (got '"
-                << wm << "')\n";
-      std::exit(2);
-    }
-    const int ws = args_.get_int("worklist-shards", 0);
-    if (ws < 0) {
-      std::cerr << "error: --worklist-shards must be >= 0 (0 = auto)\n";
-      std::exit(2);
-    }
-    cfg.worklist_shards = static_cast<std::uint32_t>(ws);
   }
 
  private:

@@ -14,7 +14,10 @@ TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
 # bench -> fast arguments (micro_primitives is google-benchmark and has its
-# own JSON output; it is not part of the snapshot).
+# own JSON output; it is not part of the snapshot). ablate_worklist runs on
+# one host worker: its central-queue arm pops from a shared list, so with
+# more workers its schedule (and every modeled metric of that row) depends
+# on thread timing. The committed baselines were recorded on one worker.
 benches=(
   "fig2_parallelism --scale=16"
   "fig6_dmr_runtime --scale=64"
@@ -26,7 +29,7 @@ benches=(
   "ablate_conflict --scale=8"
   "ablate_memory --triangles=10000 --vars=2000 --cons=2500"
   "ablate_pushpull"
-  "ablate_worklist --triangles=10000"
+  "ablate_worklist --triangles=10000 --host-workers=1"
   "incremental_bench"
   "serve_loadtest --jobs=48 --clients=3 --pool=2 --deadline-every=7 --deadline-ms=0.5 --socket=/tmp/morph_snapshot_loadtest.sock"
   "session_crash --socket=/tmp/morph_snapshot_session.sock --journal=/tmp/morph_snapshot_session.wal"

@@ -50,37 +50,31 @@ if "$BUILD"/bench/fig11_mst --faults=bogus > /dev/null 2>&1; then
   exit 1
 fi
 
-echo "== tier 1: sharded worklist (cross-worker byte-identity) =="
-# The sharded fast path's contract: answers, modeled stats, and telemetry
-# traces are byte-identical for any --host-workers value (owner-only pops,
-# block-order publication, host-side rebalance — DESIGN.md 6.1).
+echo "== tier 1: cross-worker byte-identity =="
+# The block-parallel Device's contract: answers, modeled stats, and
+# telemetry traces are byte-identical for any --host-workers value
+# (block-order reduction, sequential commit phases, snapshot reads —
+# DESIGN.md 6).
 for spec in "fig6_dmr_runtime --scale=64" "fig9_sp --scale=400" "fig10_pta" \
             "fig11_mst --scale=16"; do
   set -- $spec
   name="$1"; shift
-  "$BUILD/bench/$name" "$@" --worklist-mode=sharded --host-workers=1 \
-      --json="$SMOKE/s1.json" > /dev/null
-  "$BUILD/bench/$name" "$@" --worklist-mode=sharded --host-workers=4 \
-      --json="$SMOKE/s4.json" > /dev/null
+  "$BUILD/bench/$name" "$@" --host-workers=1 --json="$SMOKE/s1.json" > /dev/null
+  "$BUILD/bench/$name" "$@" --host-workers=4 --json="$SMOKE/s4.json" > /dev/null
   "$BUILD"/tools/morph-report diff "$SMOKE/s1.json" "$SMOKE/s4.json"
 done
-"$BUILD"/bench/fig6_dmr_runtime --scale=64 --worklist-mode=sharded \
-    --host-workers=1 --trace="$SMOKE/t1.json" > /dev/null 2>&1
-"$BUILD"/bench/fig6_dmr_runtime --scale=64 --worklist-mode=sharded \
-    --host-workers=4 --trace="$SMOKE/t4.json" > /dev/null 2>&1
+"$BUILD"/bench/fig6_dmr_runtime --scale=64 --host-workers=1 \
+    --trace="$SMOKE/t1.json" > /dev/null 2>&1
+"$BUILD"/bench/fig6_dmr_runtime --scale=64 --host-workers=4 \
+    --trace="$SMOKE/t4.json" > /dev/null 2>&1
 cmp "$SMOKE/t1.json" "$SMOKE/t4.json"
 # SP joined the byte-identity gate when its sweep moved to snapshot reads
 # with a block-ordered max reduction: even the telemetry traces must match.
-"$BUILD"/bench/fig9_sp --scale=400 --worklist-mode=sharded \
-    --host-workers=1 --trace="$SMOKE/sp1.json" > /dev/null 2>&1
-"$BUILD"/bench/fig9_sp --scale=400 --worklist-mode=sharded \
-    --host-workers=4 --trace="$SMOKE/sp4.json" > /dev/null 2>&1
+"$BUILD"/bench/fig9_sp --scale=400 --host-workers=1 \
+    --trace="$SMOKE/sp1.json" > /dev/null 2>&1
+"$BUILD"/bench/fig9_sp --scale=400 --host-workers=4 \
+    --trace="$SMOKE/sp4.json" > /dev/null 2>&1
 cmp "$SMOKE/sp1.json" "$SMOKE/sp4.json"
-# A bad mode must fail loudly with the parse exit code (2).
-if "$BUILD"/bench/fig11_mst --worklist-mode=bogus > /dev/null 2>&1; then
-  echo "ERROR: malformed --worklist-mode was accepted" >&2
-  exit 1
-fi
 
 echo "== tier 1: hazard sanitizer (MorphSan clean paths + byte-identity) =="
 # Every app must be hazard-clean under --sanitize=all at the default bench
@@ -88,7 +82,7 @@ echo "== tier 1: hazard sanitizer (MorphSan clean paths + byte-identity) =="
 # a single modeled metric: the JSON reports diff clean against unsanitized
 # runs (wall-clock metrics carry the diff tool's default tolerance).
 for spec in "fig6_dmr_runtime --scale=64" "fig9_sp --scale=400" "fig10_pta" \
-            "fig10_pta --worklist-mode=sharded" "fig11_mst --scale=16"; do
+            "fig11_mst --scale=16"; do
   set -- $spec
   name="$1"; shift
   "$BUILD/bench/$name" "$@" --json="$SMOKE/plain.json" > /dev/null
@@ -185,10 +179,10 @@ fi
 
 echo "== tier 1: incremental recompute (O(changes) + session durability) =="
 # incremental_bench self-gates (exit 1 on failure): digest streams for the
-# same update sequence are byte-identical across device shapes and worklist
-# modes, the final state matches a from-scratch solve, and batch cost scales
-# with the change set, not the graph (>= 100k-element inputs at the default
-# scale — docs/SERVER.md, "Sessions").
+# same update sequence are byte-identical across host-worker counts, the
+# final state matches a from-scratch solve, and batch cost scales with the
+# change set, not the graph (>= 100k-element inputs at the default scale —
+# docs/SERVER.md, "Sessions").
 "$BUILD"/bench/incremental_bench > /dev/null
 # session_crash self-gates too: SIGKILL a session-serving child at several
 # kill points (including mid-checkpoint-compaction), restart it on the same

@@ -2,10 +2,9 @@
 //
 // The mechanics live in gpu::DeviceBuffer (Pre-allocation / Host-Only /
 // Kernel-Host growth) and gpu::DeviceHeap (Kernel-Only chunked malloc). This
-// header names the strategies, and provides SlotRecycler, the "Recycle"
-// deletion strategy DMR uses: deleted element slots are remembered and
-// handed back to threads creating new elements, trading compaction overhead
-// against allocation cost.
+// header provides SlotRecycler, the "Recycle" deletion strategy DMR uses:
+// deleted element slots are remembered and handed back to threads creating
+// new elements, trading compaction overhead against allocation cost.
 #pragma once
 
 #include <atomic>
@@ -17,19 +16,6 @@
 #include "support/check.hpp"
 
 namespace morph::core {
-
-enum class AdditionStrategy {
-  kPreAlloc,    ///< allocate the maximum up front
-  kHostOnly,    ///< host pre-calculates the next kernel's needs
-  kKernelHost,  ///< kernel piggybacks the size computation, host allocates
-  kKernelOnly,  ///< device-side malloc (chunked)
-};
-
-enum class DeletionStrategy {
-  kMark,      ///< tombstone flags; space is never reclaimed
-  kExplicit,  ///< free the memory (DeviceHeap::free_chunk)
-  kRecycle,   ///< reuse deleted slots for new elements (SlotRecycler)
-};
 
 /// Lock-free pool of recyclable element slots. Threads freeing slots push
 /// them; threads creating elements try take() before extending the array.

@@ -482,18 +482,18 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
 
   // The centralized worklist. Sized generously; push failures fall back to
   // the next refill sweep. Attaching the device arms the overflow fault
-  // class when a campaign is running. Under WorklistMode::kSharded it is
+  // class when a campaign is running. Under DataDrivenQueue::kSharded it is
   // demoted to the shards' spill target: work normally lives in the
   // ShardedWorklist, partitioned so a block pops (and requeues to) its own
   // shards, and the centralized atomic index is off the hot path.
-  const bool sharded =
-      dev.config().worklist_mode == gpu::WorklistMode::kSharded;
+  const bool sharded = opts.queue == DataDrivenQueue::kSharded;
+  const bool local_queues = opts.queue == DataDrivenQueue::kLocal;
   const std::size_t wl_cap =
       std::max<std::size_t>(1u << 16, m.num_slots() * 4);
   gpu::GlobalWorklist<Tri> worklist(wl_cap, &dev);
   std::optional<gpu::ShardedWorklist<Tri>> shards;
   if (sharded) {
-    const std::size_t S = dev.config().resolved_worklist_shards();
+    const std::size_t S = 4 * dev.config().num_sms;
     shards.emplace(S, wl_cap / S + 1, &dev, &worklist);
   }
   // Host-side fill (charges are discarded): bad triangles go to the shard of
@@ -548,7 +548,7 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
     // instead of dropping the item. Drained back into the global list after
     // the launch (local queues are per-round temporaries here).
     std::vector<gpu::LocalWorklist<Tri>> locals;
-    if (opts.local_queues) {
+    if (local_queues) {
       locals.reserve(T);
       for (std::uint64_t t = 0; t < T; ++t) {
         locals.emplace_back(opts.local_queue_cap);
@@ -563,7 +563,7 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
     auto requeue = [&](gpu::ThreadCtx& ctx, std::uint32_t t, Tri v) {
       if (sharded) {
         (void)shards->push(ctx, shards->home_shard(ctx.block(), lc.blocks), v);
-      } else if (opts.local_queues) {
+      } else if (local_queues) {
         (void)locals[t].push(ctx, v);
       } else {
         (void)worklist.push(ctx, v);
@@ -644,7 +644,7 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
     // Hand leftover local-queue items back to the centralized list (they
     // are per-round temporaries; anything that does not fit is recovered by
     // the refill sweep).
-    if (opts.local_queues) {
+    if (local_queues) {
       gpu::ThreadCtx drain_ctx;
       for (auto& lq : locals) {
         while (auto v = lq.pop()) (void)worklist.push(drain_ctx, *v);

@@ -22,6 +22,21 @@
 
 namespace morph::dmr {
 
+/// Worklist organization of refine_gpu_datadriven (paper Sec. 7.5).
+enum class DataDrivenQueue {
+  /// One GlobalWorklist: every push and pop is an atomic index claim. The
+  /// paper's centralized-queue baseline.
+  kCentral,
+  /// Requeues go to bounded per-thread local queues that spill to the
+  /// central list (the Sec. 7.5 fallback ladder); pops stay central.
+  kLocal,
+  /// A ShardedWorklist of 4 shards per SM, seeded by pseudo-partition: a
+  /// block pops from and requeues to the shards it owns, the host steals
+  /// between launches, and the central list is only the spill target. The
+  /// only arm whose schedule is bit-identical for any host_workers value.
+  kSharded,
+};
+
 struct RefineOptions {
   double min_angle_deg = 30.0;
 
@@ -62,10 +77,9 @@ struct RefineOptions {
   /// converges. Off by default (full validation is O(mesh)).
   bool validate_invariants = false;
 
-  /// Data-driven driver only: give each thread a bounded per-thread local
-  /// worklist whose overflow spills to the centralized list (Sec. 7.5
-  /// fallback ladder) instead of pushing globally every time.
-  bool local_queues = false;
+  /// Data-driven driver only: how bad triangles are dispensed (Sec. 7.5).
+  DataDrivenQueue queue = DataDrivenQueue::kCentral;
+  /// Capacity of each per-thread queue under DataDrivenQueue::kLocal.
   std::size_t local_queue_cap = 16;
 };
 
@@ -97,10 +111,10 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev,
                        const RefineOptions& opts = {});
 
 /// The *data-driven* alternative the paper rejects (Sec. 2): bad triangles
-/// are dispensed from a centralized worklist whose every push and pop is an
-/// atomic operation. Same 3-phase conflict resolution, same result; kept so
-/// the worklist ablation can quantify the centralized-queue bottleneck
-/// against the topology-driven local-worklist design.
+/// are dispensed from a worklist organized per RefineOptions::queue. Same
+/// 3-phase conflict resolution, same result; kept so the worklist ablation
+/// can quantify the centralized-queue bottleneck against the
+/// topology-driven design and against sharding.
 RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
                                   const RefineOptions& opts = {});
 

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "resilience/recovery.hpp"
 #include "support/check.hpp"
@@ -41,36 +40,6 @@ enum class BarrierKind {
   /// cached (Fermi) GPUs as the paper describes.
   kLockFree,
 };
-
-/// Worklist organization used by the data-driven drivers (paper Sec. 7.5).
-enum class WorklistMode {
-  /// One GlobalWorklist; every push/pop is an atomic index claim on shared
-  /// indices. The paper's baseline and the ablation arm.
-  kCentralized,
-  /// ShardedWorklist: per-shard rings fed by the layout pass's
-  /// pseudo-partition, blocks pop only from the shards they own, stealing
-  /// and spill-draining happen deterministically at launch boundaries, and
-  /// the GlobalWorklist is demoted to spill-of-last-resort.
-  kSharded,
-};
-
-/// Parses a --worklist-mode value; returns false on anything other than
-/// "centralized" or "sharded".
-inline bool parse_worklist_mode(std::string_view s, WorklistMode* out) {
-  if (s == "centralized") {
-    *out = WorklistMode::kCentralized;
-    return true;
-  }
-  if (s == "sharded") {
-    *out = WorklistMode::kSharded;
-    return true;
-  }
-  return false;
-}
-
-inline const char* worklist_mode_name(WorklistMode m) {
-  return m == WorklistMode::kSharded ? "sharded" : "centralized";
-}
 
 /// Simulated device parameters and cost model.
 struct DeviceConfig {
@@ -106,23 +75,6 @@ struct DeviceConfig {
   /// values exercise real concurrency between logical GPU threads and are
   /// the standard fast path for the drivers and benches (--host-workers).
   std::uint32_t host_workers = 1;
-
-  /// Worklist organization for the data-driven drivers. kCentralized keeps
-  /// the single GlobalWorklist (and is bit-identical to builds predating the
-  /// knob); kSharded routes work through a ShardedWorklist whose pops are
-  /// owner-block-only during parallel phases, so answers, modeled stats and
-  /// traces stay bit-identical for every host_workers value while the
-  /// centralized atomic index disappears from the hot path.
-  WorklistMode worklist_mode = WorklistMode::kCentralized;
-
-  /// Shard count for kSharded; 0 means "auto" (4 shards per SM, enough to
-  /// keep every block of a typical launch fed while bounding the stealing
-  /// scan). See resolved_worklist_shards().
-  std::uint32_t worklist_shards = 0;
-
-  std::uint32_t resolved_worklist_shards() const {
-    return worklist_shards != 0 ? worklist_shards : 4 * num_sms;
-  }
 
   /// When true, logical threads within a phase run in a seeded pseudo-random
   /// order instead of ascending id, to exercise order-independence.

@@ -30,8 +30,8 @@ Device::Device(DeviceConfig cfg)
 }
 
 KernelStats Device::launch(const LaunchConfig& lc, const KernelFn& fn) {
-  const KernelFn phases[1] = {fn};
-  return launch_phases(lc, std::span<const KernelFn>(phases, 1));
+  const Phase phases[1] = {{fn}};
+  return launch_phases(lc, std::span<const Phase>(phases));
 }
 
 double Device::barrier_cycles(BarrierKind kind, const LaunchConfig& lc) const {
@@ -52,14 +52,6 @@ double Device::barrier_cycles(BarrierKind kind, const LaunchConfig& lc) const {
       return blocks * (cfg_.syncthreads_cost + 3.0 * cfg_.global_mem_cost);
   }
   return 0.0;
-}
-
-KernelStats Device::launch_phases(const LaunchConfig& lc,
-                                  std::span<const KernelFn> phases,
-                                  BarrierKind barrier) {
-  std::vector<Phase> specs(phases.size());
-  for (std::size_t i = 0; i < phases.size(); ++i) specs[i].fn = phases[i];
-  return launch_phases(lc, std::span<const Phase>(specs), barrier);
 }
 
 namespace {

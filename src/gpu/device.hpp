@@ -152,12 +152,8 @@ class Device {
   /// Launches a single-phase kernel and returns its statistics.
   KernelStats launch(const LaunchConfig& lc, const KernelFn& fn);
 
-  /// Launches a kernel with global barriers between consecutive phases.
-  KernelStats launch_phases(const LaunchConfig& lc,
-                            std::span<const KernelFn> phases,
-                            BarrierKind barrier = BarrierKind::kHierarchical);
-
-  /// As above, with per-phase execution control (Phase::sequential).
+  /// Launches a kernel with global barriers between consecutive phases,
+  /// with per-phase execution control (Phase::sequential).
   KernelStats launch_phases(const LaunchConfig& lc,
                             std::span<const Phase> phases,
                             BarrierKind barrier = BarrierKind::kHierarchical);

@@ -4,8 +4,8 @@
 // the paper identifies as a bottleneck; a LocalWorklist is a fixed-capacity
 // per-thread queue that lives in (simulated) shared memory and needs no
 // synchronization. The pseudo-partitioning produced by the memory-layout
-// optimization (graph/layout.hpp) makes a thread's new work likely to land
-// in its own local queue.
+// optimization (Mesh::compact_and_reorder) makes a thread's new work likely
+// to land in its own local queue.
 //
 // GlobalWorklist is safe for concurrent push/pop from any number of host
 // threads (block-parallel execution, DeviceConfig::host_workers > 1). Index
@@ -230,7 +230,7 @@ class GlobalWorklist {
 /// Sharded worklist: the paper's pseudo-partitioning (Sec. 7.5) lifted to
 /// the block-parallel host path. Work lives in `num_shards()` fixed-capacity
 /// rings; each ring uses the same claim-then-publish index protocol as
-/// GlobalWorklist, so any mix of concurrent push / pop / steal is safe. The
+/// GlobalWorklist, so any mix of concurrent pushes and pops is safe. The
 /// point of sharding is that the *common* op touches a ring no other block
 /// claims from, so it is charged as plain work instead of an atomic
 /// (ThreadCtx::worklist_op), and the centralized list survives only as the
@@ -244,9 +244,7 @@ class GlobalWorklist {
 /// commit protocol. Stealing and spill-draining are performed *between*
 /// launches by the host (rebalance()), which walks shards in index order, so
 /// steal/spill counts and every modeled stat are identical for any
-/// host_workers value. steal() exists for callers that accept a
-/// nondeterministic schedule (and for the stress tests); the deterministic
-/// drivers never call it from a parallel phase.
+/// host_workers value.
 template <typename T>
 class ShardedWorklist {
  public:
@@ -366,31 +364,11 @@ class ShardedWorklist {
     return std::nullopt;
   }
 
-  /// Lock-free steal from an arbitrary shard: a contended claim on a ring
-  /// another block owns. Safe under any interleaving (the rings are MPMC),
-  /// but the *schedule* of successful steals is timing-dependent, so
-  /// deterministic drivers only steal via rebalance().
-  std::optional<T> steal(ThreadCtx& ctx, std::size_t victim_shard) {
-    ctx.worklist_op(/*contended=*/true);
-    auto v = ring_pop(victim_shard, agent_of(ctx));
-    if (v) steals_.fetch_add(1, std::memory_order_relaxed);
-    return v;
-  }
-
-  // --- non-consuming iteration (round-based drivers keep their live set
-  //     in the shards and sweep it in place) ---
-
   /// Published items currently in `shard`. Stable only while no pops run.
   std::size_t shard_size(std::size_t s) const {
     const std::uint64_t c = shards_[s].commit.load(std::memory_order_acquire);
     const std::uint64_t h = shards_[s].head.load(std::memory_order_relaxed);
     return static_cast<std::size_t>(c - h);
-  }
-
-  /// The i-th live item of `shard` (0 = oldest). Valid while no pops run.
-  const T& item(std::size_t s, std::size_t i) const {
-    const std::uint64_t h = shards_[s].head.load(std::memory_order_relaxed);
-    return shards_[s].items[static_cast<std::size_t>(h) + i];
   }
 
   /// Total published items across all shards (excludes the spill list).

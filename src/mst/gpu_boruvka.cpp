@@ -13,9 +13,7 @@
 //   4. per node: merge (relabel to the representative).
 // Adjacency lists are never merged; the cost of merging scales with nodes.
 #include <atomic>
-#include <optional>
 
-#include "gpu/worklist.hpp"
 #include "mst/mst.hpp"
 #include "support/status.hpp"
 #include "support/timer.hpp"
@@ -91,35 +89,9 @@ MstResult mst_gpu(const graph::CsrGraph& g, gpu::Device& dev) {
       "mst.boruvka"};
   const std::uint64_t T = lc.total_threads();
 
-  // WorklistMode::kSharded: the alive list is mirrored into a sharded
-  // worklist, pseudo-partitioned so each block sweeps a contiguous slice of
-  // components (rebuilt host-side every round, like comp_index). The
-  // per-component kernels then iterate the shards their block owns instead
-  // of striding the whole alive array.
-  const bool sharded =
-      dev.config().worklist_mode == gpu::WorklistMode::kSharded;
-  std::optional<gpu::ShardedWorklist<Node>> swl;
-  if (sharded) {
-    const std::size_t S = dev.config().resolved_worklist_shards();
-    swl.emplace(S, static_cast<std::size_t>(n) / S + 2, &dev);
-  }
-  // Per-component sweep under either worklist mode. The body sees each
-  // alive component exactly once; sharded iteration is non-consuming (the
-  // set is reused by every kernel of the round).
   const auto for_each_comp = [&](gpu::ThreadCtx& ctx, auto&& body) {
-    if (sharded) {
-      const auto r = swl->owned_range(ctx.block(), lc.blocks);
-      for (std::size_t s = r.lo; s < r.hi; ++s) {
-        const std::size_t sz = swl->shard_size(s);
-        for (std::size_t i = ctx.thread_in_block(); i < sz;
-             i += lc.threads_per_block) {
-          body(swl->item(s, i));
-        }
-      }
-    } else {
-      for (std::uint64_t ci = ctx.tid(); ci < alive.size(); ci += T) {
-        body(alive[ci]);
-      }
+    for (std::uint64_t ci = ctx.tid(); ci < alive.size(); ci += T) {
+      body(alive[ci]);
     }
   };
 
@@ -153,16 +125,6 @@ MstResult mst_gpu(const graph::CsrGraph& g, gpu::Device& dev) {
     dev.launch(lc, [&](gpu::ThreadCtx& ctx) {
       for (std::uint64_t u = ctx.tid(); u < n; u += T) ctx.work(1);
     });
-    if (sharded) {
-      swl->reset();
-      gpu::ThreadCtx host;  // host-side mirror of alive; charges discarded
-      for (std::uint32_t i = 0; i < alive.size(); ++i) {
-        (void)swl->push(host, swl->partition_shard(i, alive.size()), alive[i]);
-      }
-      dev.note_counter("worklist.occupancy",
-                       static_cast<double>(swl->size()));
-    }
-
     // Kernel 1: per-node minimum edge leaving the component.
     dev.launch(lc, [&](gpu::ThreadCtx& ctx) {
       for (std::uint64_t ui = ctx.tid(); ui < n; ui += T) {

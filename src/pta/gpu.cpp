@@ -5,21 +5,19 @@
 // Propagation is pull-based: only the owning thread writes a node's
 // points-to set. The push-based variant is kept for the ablation bench.
 //
-// Every phase runs block-parallel under any worklist mode and stays
-// bit-deterministic across host worker counts: list growth is parked in
-// per-list pending buffers and merged between launches (ChunkList), the
-// propagation phase reads the round-start points-to image and commits grown
-// sets host-side in deterministic order, and every op charge is computed
-// against pre-phase state (the snapshot-charging rule, DESIGN.md §6.1).
+// Every phase runs block-parallel and stays bit-deterministic across host
+// worker counts: list growth is parked in per-list pending buffers and
+// merged between launches (ChunkList), the propagation phase reads the
+// round-start points-to image and commits grown sets host-side in
+// deterministic order, and every op charge is computed against pre-phase
+// state (the snapshot-charging rule, DESIGN.md §6.2).
 #include <algorithm>
 #include <mutex>
-#include <optional>
 #include <utility>
 
 #include "core/adaptive.hpp"
 #include "gpu/memory.hpp"
 #include "gpu/reduce.hpp"
-#include "gpu/worklist.hpp"
 #include "pta/solve.hpp"
 #include "support/status.hpp"
 #include "support/timer.hpp"
@@ -43,7 +41,7 @@ bool union_into(std::vector<Var>& dst, const std::vector<Var>& src,
 
 /// Per-node chunked neighbor list backed by device-heap chunks.
 ///
-/// Determinism contract (DESIGN.md §6.1): during a launch the *canonical*
+/// Determinism contract (DESIGN.md §6.2): during a launch the *canonical*
 /// chunks are immutable — same-phase inserts are parked in a host-side
 /// pending buffer — so a membership walk, and the ops it charges, is a pure
 /// function of the pre-phase snapshot, never of cross-thread interleaving.
@@ -253,24 +251,6 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
       opts.initial_tpb, 3,
       std::clamp(n / (512.0 * dev.config().num_sms), 3.0, 50.0));
 
-  // WorklistMode::kSharded: the rule sweep (phase A) becomes data-driven.
-  // Enabled load/store constraint indices are seeded host-side into shards
-  // (pseudo-partitioned by constraint index, then rebalanced — the
-  // deterministic steal), and the kernel pops from the shards its block
-  // owns instead of striding all constraints and skipping disabled ones.
-  // Every phase runs block-parallel in every mode: list growth pends and is
-  // merged between launches, propagation reads the round-start snapshot and
-  // commits in node order, and all op charging is against pre-phase state —
-  // which is what keeps answers, op accounting and modeled stats
-  // bit-identical for any --host-workers value (DESIGN.md §6.1).
-  const bool sharded =
-      dev.config().worklist_mode == gpu::WorklistMode::kSharded;
-  std::optional<gpu::ShardedWorklist<std::uint32_t>> swl;
-  if (sharded) {
-    const std::size_t S = dev.config().resolved_worklist_shards();
-    swl.emplace(S, loadstore.size() / S + 2, &dev);
-  }
-
   // Phase 1 (init): seed points-to sets from address-of constraints.
   {
     gpu::LaunchConfig lc = launcher.next(dev.config());
@@ -299,10 +279,10 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
     lc.label = "pta.copy";
     const std::uint64_t T = lc.total_threads();
     bool rerun = true;
-    // Block-parallel in every mode: inserts pend (canonical lists are
-    // immutable during the launch), so insert_edge's op count is charged
-    // against the pre-launch snapshot and cannot depend on the order
-    // threads reach the lock.
+    // Block-parallel: inserts pend (canonical lists are immutable during
+    // the launch), so insert_edge's op count is charged against the
+    // pre-launch snapshot and cannot depend on the order threads reach the
+    // lock.
     const auto copy_kernel = [&](gpu::ThreadCtx& ctx) {
       for (std::uint64_t i = ctx.tid(); i < copy.size(); i += T) {
         const Constraint& c = copy[i];
@@ -337,34 +317,14 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
     const std::uint64_t T = lc.total_threads();
     std::uint64_t round_grew = 0;  // committed host-side, between launches
 
-    // Sharded: seed this round's enabled constraints (the same predicate
-    // the strided kernel applies inline), then rebalance so starved shards
-    // are fed before the launch.
-    if (sharded) {
-      swl->reset();
-      gpu::ThreadCtx host;  // host-side fill; charges discarded
-      for (std::uint32_t i = 0; i < loadstore.size(); ++i) {
-        const Constraint& c = loadstore[i];
-        const Var ptr = (c.kind == ConstraintKind::kLoad) ? c.src : c.dst;
-        if (full_sweep || changed_cur[ptr] || st.iterations == 1) {
-          (void)swl->push(host, swl->partition_shard(i, loadstore.size()), i);
-        }
-      }
-      swl->rebalance();
-      dev.note_counter("worklist.occupancy",
-                       static_cast<double>(swl->size()));
-    }
-
     // --- phase A: load/store constraints add edges (Sec. 4: "constraints
     // are evaluated"; edges go to the incoming list in the pull model) ---
     const auto phase_a = [&](gpu::ThreadCtx& ctx) {
-      const auto evaluate = [&](const Constraint& c) {
+      for (std::uint64_t i = ctx.tid(); i < loadstore.size(); i += T) {
+        const Constraint& c = loadstore[i];
         ctx.work(1);
         const Var ptr = (c.kind == ConstraintKind::kLoad) ? c.src : c.dst;
-        if (!sharded && !full_sweep && !changed_cur[ptr] &&
-            st.iterations > 1) {
-          return;
-        }
+        if (!full_sweep && !changed_cur[ptr] && st.iterations > 1) continue;
         ctx.global_access();
         std::scoped_lock lock(list_mu);
         for (Var raw : pts[ptr]) {
@@ -388,15 +348,6 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
           }
           ctx.work(ops + 1);
           if (opts.push_based) ctx.atomic_op();
-        }
-      };
-      if (sharded) {
-        while (auto idx = swl->pop_owned(ctx, lc.blocks)) {
-          evaluate(loadstore[*idx]);
-        }
-      } else {
-        for (std::uint64_t i = ctx.tid(); i < loadstore.size(); i += T) {
-          evaluate(loadstore[i]);
         }
       }
     };
@@ -433,9 +384,9 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
       // node, and the host commits them in ascending node order after the
       // launch. Values, op charges and the grew count are all pure
       // functions of the round-start state, so the phase runs
-      // block-parallel in every mode with no locks at all. The staging
-      // copy is simulation bookkeeping: the modeled union charge is the
-      // same in-place sequence the GPU kernel would execute.
+      // block-parallel with no locks at all. The staging copy is simulation
+      // bookkeeping: the modeled union charge is the same in-place sequence
+      // the GPU kernel would execute.
       std::vector<std::vector<Var>> staged(todo);
       std::vector<std::uint8_t> grew_at(todo, 0);
       const auto phase_b = [&](gpu::ThreadCtx& ctx) {

@@ -89,7 +89,6 @@ void run_sp(const JobSpec& spec, gpu::Device& dev, JobOutcome* out) {
   opts.max_sweeps = spec.sweeps;
   opts.max_phases = spec.phases;
   opts.walksat_flips = 1;
-  opts.walksat_auto_budget = false;
   const sp::SpResult r = sp::solve_gpu(f, dev, opts);
   out->outputs.set("clauses", static_cast<std::uint64_t>(m));
   out->outputs.set("solved", r.solved);

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -802,6 +803,7 @@ void Server::journal_completed(std::uint64_t arrival) {
       it->second.completed = true;
     }
   }
+  completed_floor_ = std::max(completed_floor_, arrival + 1);
   ++completions_since_checkpoint_;
 }
 
@@ -839,21 +841,26 @@ void Server::maybe_checkpoint_locked(bool force, std::uint64_t floor_hint) {
     }
     state = sched_.checkpoint_blob();
   }
+  std::uint64_t floor;
   {
     std::lock_guard<std::mutex> olk(order_mu_);
     // The triggering frame is fully applied (its effects are in the blob),
     // but its reader may not have bumped next_arrival_ yet — snapshot the
     // gate as if it had, or the restart blocks waiting for a stamp the
     // pre-crash process already consumed.
-    std::uint64_t floor = next_arrival_;
+    floor = next_arrival_;
     if (floor_hint != kNoArrival && floor_hint + 1 > floor) {
       floor = floor_hint + 1;
     }
-    std::string head;
-    put_u64be(floor, head);
-    state.insert(0, head);
   }
   std::lock_guard<std::mutex> jlk(journal_mu_);
+  // The same holds for a frame another thread completed meanwhile (say an
+  // inline flush racing this emission's checkpoint): it is already gone
+  // from retained_, so the floor must cover it too.
+  floor = std::max(floor, completed_floor_);
+  std::string head;
+  put_u64be(floor, head);
+  state.insert(0, head);
   std::vector<JournalRecord> kept;
   kept.reserve(retained_.size());
   for (auto it = retained_.begin(); it != retained_.end();) {

@@ -239,6 +239,10 @@ class Server {
   std::map<std::uint64_t, RetainedRec> retained_;  ///< by arrival stamp
   std::set<std::string> open_session_names_;  ///< journal_mu_ mirror of sessions_
   std::uint64_t completions_since_checkpoint_ = 0;
+  /// One past the highest arrival journaled as completed: a checkpoint's
+  /// gate floor never drops below it, since those frames are no longer in
+  /// retained_ even when their reader has not bumped next_arrival_ yet.
+  std::uint64_t completed_floor_ = 0;
   std::uint64_t compactions_ = 0;
 
   /// True while recover_from_journal replays; suppresses compaction and

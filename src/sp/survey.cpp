@@ -4,10 +4,8 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
-#include <optional>
 
 #include "gpu/reduce.hpp"
-#include "gpu/worklist.hpp"
 #include "support/status.hpp"
 #include "support/timer.hpp"
 
@@ -182,10 +180,9 @@ std::uint64_t walksat_residual(FactorGraph& g, const SpOptions& opts,
   // SP-decimated residuals can be glassy even at low clause density; give
   // the endgame a budget proportional to its size, with restarts.
   const std::uint64_t budget =
-      opts.walksat_auto_budget
-          ? std::max<std::uint64_t>(opts.walksat_flips,
-                                    4000ull * unfixed.size())
-          : opts.walksat_flips;
+      opts.walksat_flips != 0
+          ? opts.walksat_flips
+          : std::max<std::uint64_t>(2'000'000, 4000ull * unfixed.size());
   constexpr int kRestarts = 3;
 
   auto occurrence_sat = [&](std::uint32_t e) {
@@ -312,9 +309,6 @@ struct Hooks {
   std::function<void()> refresh;
   // Compute biases of all alive literals into the given arrays.
   std::function<void(std::vector<double>&, std::vector<std::uint8_t>&)> bias;
-  // Invoked after each decimation step (literal fixes + unit propagation);
-  // lets a driver prune its live-literal worklist. Optional.
-  std::function<void()> after_decimation;
 };
 
 SpResult run_schedule(FactorGraph& g, const SpOptions& opts,
@@ -371,7 +365,6 @@ SpResult run_schedule(FactorGraph& g, const SpOptions& opts,
       res.contradiction = true;
       return res;
     }
-    if (hooks.after_decimation) hooks.after_decimation();
   }
 
   const std::uint64_t flips = walksat_residual(g, opts, rng);
@@ -549,84 +542,17 @@ SpResult solve_gpu(const Formula& f, gpu::Device& dev,
   std::atomic<std::uint64_t> launch_ops{0};
   auto drain_ops = [&] { work += launch_ops.exchange(0); };
 
-  // WorklistMode::kSharded: the alive literals *and* the alive clauses live
-  // in sharded worklists, pseudo-partitioned by index and rebuilt host-side
-  // after every decimation step — so all three kernels (sweep, refresh,
-  // bias) sweep only work that is still alive, each block its own shards,
-  // instead of striding everything and paying a step per tombstone. Op
-  // charging follows ownership: which items a thread visits is a function
-  // of (block, shard map), never of host-thread interleaving. Iteration is
-  // non-consuming.
-  const bool sharded =
-      dev.config().worklist_mode == gpu::WorklistMode::kSharded;
-  std::optional<gpu::ShardedWorklist<Lit>> lit_wl;
-  std::optional<gpu::ShardedWorklist<Clause>> clause_wl;
-  if (sharded) {
-    const std::size_t S = dev.config().resolved_worklist_shards();
-    lit_wl.emplace(S, static_cast<std::size_t>(f.num_lits) / S + 2, &dev);
-    clause_wl.emplace(S, static_cast<std::size_t>(f.num_clauses()) / S + 2,
-                      &dev);
-  }
-  const auto seed_alive = [](auto& wl, std::uint32_t total, auto&& alive) {
-    wl.reset();
-    gpu::ThreadCtx host;  // host-side fill; charges discarded
-    std::uint32_t na = 0;
-    for (std::uint32_t i = 0; i < total; ++i) na += alive(i) ? 1 : 0;
-    std::uint32_t idx = 0;
-    for (std::uint32_t i = 0; i < total; ++i) {
-      if (alive(i)) (void)wl.push(host, wl.partition_shard(idx++, na), i);
-    }
-  };
-  const auto rebuild_worklists = [&] {
-    if (!sharded) return;
-    seed_alive(*lit_wl, f.num_lits,
-               [&](std::uint32_t i) { return g.lit_alive[i] != 0; });
-    seed_alive(*clause_wl, f.num_clauses(),
-               [&](std::uint32_t c) { return g.clause_alive[c] != 0; });
-    dev.note_counter("worklist.occupancy",
-                     static_cast<double>(lit_wl->size() + clause_wl->size()));
-  };
-  rebuild_worklists();
-  // Sweep over the live items a block owns (threads stride the shard
-  // contents). The charging rule is uniform across the sharded and strided
-  // paths: one step per visited item — tombstone or live — plus the
-  // algorithmic ops of live items, so sharded vs centralized modeled cycles
-  // differ only by the tombstones the worklist skips.
-  const auto for_each_owned = [&](auto& wl, gpu::ThreadCtx& ctx,
-                                  auto&& alive, auto&& body) {
-    const auto r = wl.owned_range(ctx.block(), lc.blocks);
-    for (std::size_t s = r.lo; s < r.hi; ++s) {
-      const std::size_t sz = wl.shard_size(s);
-      for (std::size_t x = ctx.thread_in_block(); x < sz;
-           x += lc.threads_per_block) {
-        const auto i = wl.item(s, x);
-        ctx.work(1);
-        if (!alive(i)) continue;  // stale tombstone (possible mid-rebuild)
-        body(i);
-      }
-    }
-  };
-  const auto lit_alive = [&](Lit i) { return g.lit_alive[i] != 0; };
-  const auto clause_alive = [&](Clause c) { return g.clause_alive[c] != 0; };
-
   Hooks hooks;
-  hooks.after_decimation = rebuild_worklists;
   hooks.refresh = [&] {
     if (!cached) return;
     dev.launch(lc, [&](gpu::ThreadCtx& ctx) {
-      const auto refresh = [&](Lit i) {
-        const std::uint64_t ops = refresh_cache_lit(g, i, cache);
-        ctx.work(ops);
-        launch_ops.fetch_add(ops, std::memory_order_relaxed);
-      };
-      if (sharded) {
-        for_each_owned(*lit_wl, ctx, lit_alive, refresh);
-        return;
-      }
       for (std::uint64_t i = ctx.tid(); i < f.num_lits; i += T) {
         ctx.work(1);
         if (!g.lit_alive[i]) continue;
-        refresh(static_cast<Lit>(i));
+        const std::uint64_t ops =
+            refresh_cache_lit(g, static_cast<Lit>(i), cache);
+        ctx.work(ops);
+        launch_ops.fetch_add(ops, std::memory_order_relaxed);
       }
     });
     drain_ops();
@@ -644,27 +570,19 @@ SpResult solve_gpu(const Formula& f, gpu::Device& dev,
     dev.launch(lc, [&](gpu::ThreadCtx& ctx) {
       double local = 0.0;
       std::uint64_t ops = 0;
-      const auto update = [&](Clause c) {
-        // Shadow the eta-row write: the worklists must hand every alive
+      for (std::uint64_t c = ctx.tid(); c < f.num_clauses(); c += T) {
+        ctx.work(1);
+        if (!g.clause_alive[c]) continue;
+        // Shadow the eta-row write: the strided sweep must hand every alive
         // clause to exactly one thread, and MorphSan verifies it (two
         // blocks updating one clause would be an inter-block race finding).
         if (analysis::Sanitizer* s = ctx.san()) {
-          s->on_access(ctx.block(),
-                       &g.eta[static_cast<std::size_t>(c) * g.k],
-                       g.k * sizeof(double),
+          s->on_access(ctx.block(), &g.eta[c * g.k], g.k * sizeof(double),
                        analysis::Sanitizer::Access::kWrite);
         }
-        local = std::max(local, update_clause(g, c, cached ? &cache : nullptr,
-                                              &ops, eta_prev.data()));
-      };
-      if (sharded) {
-        for_each_owned(*clause_wl, ctx, clause_alive, update);
-      } else {
-        for (std::uint64_t c = ctx.tid(); c < f.num_clauses(); c += T) {
-          ctx.work(1);
-          if (!g.clause_alive[c]) continue;
-          update(static_cast<Clause>(c));
-        }
+        local = std::max(local, update_clause(g, static_cast<Clause>(c),
+                                              cached ? &cache : nullptr, &ops,
+                                              eta_prev.data()));
       }
       ctx.work(ops);
       launch_ops.fetch_add(ops, std::memory_order_relaxed);
@@ -676,22 +594,15 @@ SpResult solve_gpu(const Formula& f, gpu::Device& dev,
   };
   hooks.bias = [&](std::vector<double>& mag, std::vector<std::uint8_t>& val) {
     dev.launch(lc, [&](gpu::ThreadCtx& ctx) {
-      const auto bias_of = [&](Lit i) {
+      for (std::uint64_t i = ctx.tid(); i < f.num_lits; i += T) {
+        ctx.work(1);
+        if (!g.lit_alive[i]) continue;
         std::uint64_t ops = 0;
-        const Bias b = literal_bias(g, i, &ops);
+        const Bias b = literal_bias(g, static_cast<Lit>(i), &ops);
         ctx.work(ops);
         launch_ops.fetch_add(ops, std::memory_order_relaxed);
         mag[i] = b.magnitude;
         val[i] = b.value ? 1 : 0;
-      };
-      if (sharded) {
-        for_each_owned(*lit_wl, ctx, lit_alive, bias_of);
-        return;
-      }
-      for (std::uint64_t i = ctx.tid(); i < f.num_lits; i += T) {
-        ctx.work(1);
-        if (!g.lit_alive[i]) continue;
-        bias_of(static_cast<Lit>(i));
       }
     });
     drain_ops();

@@ -29,11 +29,10 @@ struct SpOptions {
   double decimate_frac = 0.01;    ///< fraction of literals fixed per phase
   double trivial_bias = 0.02;     ///< below this max bias, surveys are trivial
   std::uint32_t endgame_lits = 64;      ///< hand to WalkSAT below this
-  std::uint64_t walksat_flips = 2'000'000;
-  /// Scale the flip budget with the residual size (4000 x unfixed vars).
-  /// Benches measuring only the survey iteration turn this off together
-  /// with a tiny walksat_flips.
-  bool walksat_auto_budget = true;
+  /// WalkSAT endgame flip budget. 0 scales it with the residual size:
+  /// max(2'000'000, 4000 x unfixed vars). Any other value is the exact
+  /// budget (benches measuring only the survey iteration pass 1).
+  std::uint64_t walksat_flips = 0;
   double walksat_p = 0.5;
   std::uint32_t max_phases = 1u << 20;
   bool cache_products = true;     ///< the edge-caching optimization

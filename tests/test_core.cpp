@@ -1,7 +1,7 @@
 // Unit tests for the generic morph machinery: the 3-phase conflict
 // resolution protocol (including a reconstruction of the 2-phase race the
-// paper describes), lock-based claiming, slot recycling, adaptive
-// configuration, and divergence packing.
+// paper describes), lock-based claiming, slot recycling, and adaptive
+// configuration.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +12,6 @@
 
 #include "core/adaptive.hpp"
 #include "core/conflict.hpp"
-#include "core/divergence.hpp"
 #include "core/strategies.hpp"
 
 namespace morph::core {
@@ -278,24 +277,6 @@ TEST(Adaptive, FixedConfigHelper) {
   const auto lc = fixed_config(dev, 2.0, 96);
   EXPECT_EQ(lc.blocks, 28u);
   EXPECT_EQ(lc.threads_per_block, 96u);
-}
-
-TEST(Divergence, PackActiveMovesAndCounts) {
-  std::vector<std::uint32_t> ids = {0, 1, 2, 3, 4, 5, 6, 7};
-  const std::uint32_t n =
-      pack_active(ids, [](std::uint32_t v) { return v % 3 == 0; });
-  EXPECT_EQ(n, 3u);
-  EXPECT_EQ((std::vector<std::uint32_t>{0, 3, 6}),
-            std::vector<std::uint32_t>(ids.begin(), ids.begin() + 3));
-  // Stability: inactive keep relative order.
-  EXPECT_EQ((std::vector<std::uint32_t>{1, 2, 4, 5, 7}),
-            std::vector<std::uint32_t>(ids.begin() + 3, ids.end()));
-}
-
-TEST(Divergence, PackActiveAllOrNone) {
-  std::vector<std::uint32_t> ids = {5, 6};
-  EXPECT_EQ(pack_active(ids, [](std::uint32_t) { return true; }), 2u);
-  EXPECT_EQ(pack_active(ids, [](std::uint32_t) { return false; }), 0u);
 }
 
 }  // namespace

@@ -310,7 +310,14 @@ struct GpuCase {
   bool layout_opt;
   bool recycle;
   bool use_float;
+  // gtest prints a parameter without a PrintTo as its raw bytes, and the
+  // CTest names of this suite are that print. These bytes used to be
+  // uninitialised padding, so two cases were registered under names holding
+  // whatever the stack held then; spelling the bytes out keeps every case's
+  // name fixed from build to build and equal to the registered one.
+  unsigned char name_tag[3] = {};
 };
+static_assert(sizeof(GpuCase) == 12, "the case name prints all 12 bytes");
 
 class RefineGpuSweep : public ::testing::TestWithParam<GpuCase> {};
 
@@ -336,7 +343,7 @@ INSTANTIATE_TEST_SUITE_P(
     Schemes, RefineGpuSweep,
     ::testing::Values(
         GpuCase{core::ConflictScheme::kThreePhase, true, true, true, true,
-                false},
+                false, {0x72, 0xF6, 0x6E}},
         GpuCase{core::ConflictScheme::kThreePhase, false, false, false, false,
                 false},
         GpuCase{core::ConflictScheme::kThreePhase, true, false, true, true,
@@ -344,8 +351,9 @@ INSTANTIATE_TEST_SUITE_P(
         GpuCase{core::ConflictScheme::kTwoPhaseRaceCheck, true, true, true,
                 true, false},
         GpuCase{core::ConflictScheme::kTwoPhasePriority, true, true, true,
-                true, false},
-        GpuCase{core::ConflictScheme::kLocks, true, true, true, true, false}));
+                true, false, {0x6A, 0x04, 0x30}},
+        GpuCase{core::ConflictScheme::kLocks, true, true, true, true, false,
+                {0x55, 0x00, 0x00}}));
 
 TEST(RefineGpuDataDriven, EliminatesAllBadTriangles) {
   Mesh m = generate_input_mesh(1200, 23);

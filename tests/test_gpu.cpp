@@ -87,15 +87,15 @@ TEST(Launch, PhasesAreBulkSynchronous) {
   Device dev;
   std::vector<int> stage(128, 0);
   std::atomic<bool> violated{false};
-  const KernelFn phases[2] = {
-      [&](ThreadCtx& ctx) { stage[ctx.tid()] = 1; },
-      [&](ThreadCtx& ctx) {
+  const Phase phases[2] = {
+      {[&](ThreadCtx& ctx) { stage[ctx.tid()] = 1; }},
+      {[&](ThreadCtx& ctx) {
         // Every element must already be in stage 1.
         for (std::size_t i = 0; i < stage.size(); ++i) {
           if (stage[i] < 1) violated.store(true);
         }
         stage[ctx.tid()] = 2;
-      },
+      }},
   };
   const KernelStats ks = dev.launch_phases({4, 32}, phases);
   EXPECT_FALSE(violated.load());
@@ -117,10 +117,10 @@ TEST(Launch, BarrierCostOrderingMatchesPaper) {
 
 TEST(Launch, MultiPhaseChargesBarriers) {
   Device dev;
-  const KernelFn one[1] = {[](ThreadCtx& ctx) { ctx.work(1); }};
-  const KernelFn three[3] = {[](ThreadCtx& ctx) { ctx.work(1); },
-                             [](ThreadCtx& ctx) { ctx.work(1); },
-                             [](ThreadCtx& ctx) { ctx.work(1); }};
+  const Phase one[1] = {{[](ThreadCtx& ctx) { ctx.work(1); }}};
+  const Phase three[3] = {{[](ThreadCtx& ctx) { ctx.work(1); }},
+                          {[](ThreadCtx& ctx) { ctx.work(1); }},
+                          {[](ThreadCtx& ctx) { ctx.work(1); }}};
   const double t1 = dev.launch_phases({8, 128}, one).modeled_cycles;
   const double t3 =
       dev.launch_phases({8, 128}, three, BarrierKind::kNaiveAtomic)
@@ -490,9 +490,7 @@ TEST(ShardedWorklist, RebalanceFeedsStarvedShardsDeterministically) {
     wl.rebalance();
     std::vector<std::vector<int>> per_shard(4);
     for (std::size_t s = 0; s < 4; ++s) {
-      for (std::size_t i = 0; i < wl.shard_size(s); ++i) {
-        per_shard[s].push_back(wl.item(s, i));
-      }
+      while (auto v = wl.pop(ctx, s)) per_shard[s].push_back(*v);
     }
     return std::pair(per_shard, wl.steals());
   };
@@ -511,9 +509,10 @@ TEST(ShardedWorklist, RebalanceFeedsStarvedShardsDeterministically) {
 
 TEST(ShardedWorklist, ConcurrentStressLosesAndDuplicatesNothing) {
   // 8 host workers: every block pushes unique values to its home shard,
-  // pops from its owned shard, and steals from its right neighbor while
-  // that neighbor is mid-push. The rings are MPMC (same claim-then-publish
-  // protocol as GlobalWorklist), so every value must surface exactly once.
+  // pops from its owned shard, and pops from its right neighbor's shard
+  // while that neighbor is mid-push. The rings are MPMC (same
+  // claim-then-publish protocol as GlobalWorklist), so every value must
+  // surface exactly once.
   constexpr std::uint32_t kBlocks = 8, kTpb = 16, kPerThread = 8;
   DeviceConfig cfg;
   cfg.host_workers = 8;
@@ -530,7 +529,7 @@ TEST(ShardedWorklist, ConcurrentStressLosesAndDuplicatesNothing) {
         if (k % 2 == 1) {
           if (auto v = wl.pop_owned(ctx, kBlocks)) got[t].push_back(*v);
         } else if (k % 4 == 0) {
-          if (auto v = wl.steal(ctx, victim)) got[t].push_back(*v);
+          if (auto v = wl.pop(ctx, victim)) got[t].push_back(*v);
         }
       }
     });
@@ -557,7 +556,6 @@ TEST(ShardedWorklist, OwnedPopsAndRebalanceBitIdenticalAcrossWorkers) {
   auto run = [](std::uint32_t workers) {
     DeviceConfig cfg;
     cfg.host_workers = workers;
-    cfg.worklist_mode = WorklistMode::kSharded;
     Device dev(cfg);
     ShardedWorklist<std::uint32_t> wl(8, 512, &dev);
     ThreadCtx host;

@@ -1,17 +1,13 @@
-// Unit tests for the graph substrate: CSR, generators, layout, union-find,
-// DIMACS IO.
+// Unit tests for the graph substrate: CSR, generators, union-find, DIMACS
+// IO.
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <set>
 #include <sstream>
-
-#include "support/rng.hpp"
 
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
-#include "graph/layout.hpp"
 #include "graph/union_find.hpp"
 
 namespace morph::graph {
@@ -144,44 +140,6 @@ TEST(Generators, RoadLikeIsConnectedAndSparse) {
 TEST(Generators, MaxNodePlusOne) {
   std::vector<Edge> edges = {{3, 9, 1}, {1, 2, 1}};
   EXPECT_EQ(max_node_plus_one(edges), 10u);
-}
-
-TEST(Layout, BfsOrderIsAPermutation) {
-  auto edges = gen_random_uniform(200, 500, 10, 3);
-  auto g = CsrGraph::from_undirected_edges(200, edges);
-  auto perm = bfs_order(g);
-  std::vector<bool> seen(200, false);
-  for (Node p : perm) {
-    ASSERT_LT(p, 200u);
-    EXPECT_FALSE(seen[p]);
-    seen[p] = true;
-  }
-}
-
-TEST(Layout, BfsReorderImprovesLocalityOfShuffledGrid) {
-  // Take a grid (good locality), shuffle node ids (bad locality), and
-  // check the BFS scan recovers most of it — the Sec. 6.1 optimization.
-  auto edges = gen_grid2d(30, 10, 5);
-  Rng rng(17);
-  std::vector<Node> shuffle(900);
-  std::iota(shuffle.begin(), shuffle.end(), 0u);
-  for (std::size_t i = shuffle.size(); i > 1; --i)
-    std::swap(shuffle[i - 1], shuffle[rng.next_below(i)]);
-  auto g = CsrGraph::from_undirected_edges(900, edges).permuted(shuffle);
-
-  const double before = layout_cost(g);
-  auto opt = g.permuted(bfs_order(g));
-  const double after = layout_cost(opt);
-  EXPECT_LT(after, before / 4.0);
-  EXPECT_TRUE(opt.validate(true));
-}
-
-TEST(Layout, CoversDisconnectedComponents) {
-  const Edge edges[] = {{0, 1, 1}, {2, 3, 1}};
-  auto g = CsrGraph::from_undirected_edges(5, edges);  // node 4 isolated
-  auto perm = bfs_order(g);
-  std::set<Node> ids(perm.begin(), perm.end());
-  EXPECT_EQ(ids.size(), 5u);
 }
 
 TEST(UnionFind, BasicUniteFind) {

@@ -1,7 +1,7 @@
 // Incremental-vs-scratch equivalence matrix (ISSUE 10): MST insert/delete
 // batches and PTA constraint batches must land byte-identically on the
-// from-scratch answer for the same final input, across --host-workers 1 vs 4
-// and {centralized, sharded} worklist modes.
+// from-scratch answer for the same final input, across --host-workers 1 vs
+// 4.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,14 +21,11 @@ using graph::Node;
 
 std::vector<gpu::DeviceConfig> config_matrix() {
   std::vector<gpu::DeviceConfig> out;
-  for (const std::uint32_t hw : {1u, 4u})
-    for (const gpu::WorklistMode wm :
-         {gpu::WorklistMode::kCentralized, gpu::WorklistMode::kSharded}) {
-      gpu::DeviceConfig cfg;
-      cfg.host_workers = hw;
-      cfg.worklist_mode = wm;
-      out.push_back(cfg);
-    }
+  for (const std::uint32_t hw : {1u, 4u}) {
+    gpu::DeviceConfig cfg;
+    cfg.host_workers = hw;
+    out.push_back(cfg);
+  }
   return out;
 }
 

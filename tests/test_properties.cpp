@@ -203,7 +203,6 @@ TEST(SpProperty, PigeonholeContradictionIsDetected) {
   f.negated = {0, 0, 0, 1, 1, 0, 1, 1};
   sp::SpOptions opts;
   opts.walksat_flips = 50000;
-  opts.walksat_auto_budget = false;
   const sp::SpResult r = sp::solve_serial(f, opts);
   EXPECT_FALSE(r.solved);
 }

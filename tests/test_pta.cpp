@@ -258,12 +258,10 @@ struct PtaRun {
   std::string trace;
 };
 
-PtaRun run_pta(const ConstraintSet& cs, gpu::WorklistMode mode,
-               std::uint32_t workers, bool push) {
+PtaRun run_pta(const ConstraintSet& cs, std::uint32_t workers, bool push) {
   telemetry::TraceSink sink;
   gpu::DeviceConfig cfg;
   cfg.host_workers = workers;
-  cfg.worklist_mode = mode;
   cfg.trace = &sink;
   gpu::Device dev(cfg);
   PtaOptions opts;
@@ -289,34 +287,25 @@ void expect_identical(const PtaRun& a, const PtaRun& b) {
   EXPECT_EQ(a.trace, b.trace);
 }
 
-// Every phase of the GPU driver now runs block-parallel under either
-// worklist mode, and both propagation variants must stay byte-identical
-// across host-worker counts: pending-buffer inserts with snapshot charging
-// plus host-ordered commits make the schedule irrelevant.
-class GpuDeterminism
-    : public ::testing::TestWithParam<std::tuple<gpu::WorklistMode, bool>> {};
-
-TEST_P(GpuDeterminism, ByteIdenticalAcrossHostWorkers) {
-  const auto [mode, push] = GetParam();
+// Every phase of the GPU driver runs block-parallel, and both propagation
+// variants must stay byte-identical across host-worker counts:
+// pending-buffer inserts with snapshot charging plus host-ordered commits
+// make the schedule irrelevant.
+void expect_identical_across_workers(bool push) {
   const ConstraintSet cs = synthetic_program(500, 700, 21);
-  const PtaRun one = run_pta(cs, mode, 1, push);
-  const PtaRun four = run_pta(cs, mode, 4, push);
+  const PtaRun one = run_pta(cs, 1, push);
+  const PtaRun four = run_pta(cs, 4, push);
   expect_identical(one, four);
   EXPECT_TRUE(equal_pts(one.pts, solve_serial(cs)));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ModesAndVariants, GpuDeterminism,
-    ::testing::Combine(::testing::Values(gpu::WorklistMode::kCentralized,
-                                         gpu::WorklistMode::kSharded),
-                       ::testing::Bool()),
-    [](const auto& info) {
-      return std::string(std::get<0>(info.param) ==
-                                 gpu::WorklistMode::kSharded
-                             ? "sharded"
-                             : "centralized") +
-             (std::get<1>(info.param) ? "Push" : "Pull");
-    });
+TEST(GpuDeterminism, PullByteIdenticalAcrossHostWorkers) {
+  expect_identical_across_workers(/*push=*/false);
+}
+
+TEST(GpuDeterminism, PushByteIdenticalAcrossHostWorkers) {
+  expect_identical_across_workers(/*push=*/true);
+}
 
 TEST(Gpu, EdgeCountGrowsMonotonically) {
   const ConstraintSet cs = synthetic_program(400, 600, 13);

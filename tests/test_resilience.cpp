@@ -167,28 +167,28 @@ TEST(DeviceFaults, LaunchRetriesExhaustLoudly) {
 TEST(DeviceFaults, BarrierStallChargedButResultUnchanged) {
   std::vector<std::uint64_t> out_clean(64, 0), out_faulty(64, 0);
   const auto make_phases = [](std::vector<std::uint64_t>& out) {
-    return std::vector<gpu::KernelFn>{
-        [&out](gpu::ThreadCtx& ctx) {
+    return std::vector<gpu::Phase>{
+        {[&out](gpu::ThreadCtx& ctx) {
           ctx.work(1);
           out[ctx.tid()] = ctx.tid() + 1;
-        },
-        [&out](gpu::ThreadCtx& ctx) {
+        }},
+        {[&out](gpu::ThreadCtx& ctx) {
           ctx.work(1);
           out[ctx.tid()] *= 2;
-        },
+        }},
     };
   };
 
   gpu::Device clean(gpu::DeviceConfig{.host_workers = 1});
   const auto phases_clean = make_phases(out_clean);
   const gpu::KernelStats ref = clean.launch_phases(
-      {2, 32}, std::span<const gpu::KernelFn>(phases_clean));
+      {2, 32}, std::span<const gpu::Phase>(phases_clean));
 
   const FaultPlan plan = plan_of("barrier@1");
   gpu::Device faulty(gpu::DeviceConfig{.host_workers = 1, .faults = &plan});
   const auto phases_faulty = make_phases(out_faulty);
   const gpu::KernelStats ks = faulty.launch_phases(
-      {2, 32}, std::span<const gpu::KernelFn>(phases_faulty));
+      {2, 32}, std::span<const gpu::Phase>(phases_faulty));
 
   EXPECT_EQ(out_clean, out_faulty);  // a stall delays, it does not corrupt
   EXPECT_EQ(faulty.stats().faults_injected, 1u);
@@ -204,10 +204,10 @@ TEST(DeviceFaults, BarrierStallBudgetDeclaresHang) {
   cfg.barrier_stall_budget = 1;
   gpu::Device dev(cfg);
 
-  const std::vector<gpu::KernelFn> phases(
-      3, [](gpu::ThreadCtx& ctx) { ctx.work(1); });
+  const std::vector<gpu::Phase> phases(
+      3, gpu::Phase{[](gpu::ThreadCtx& ctx) { ctx.work(1); }});
   try {
-    dev.launch_phases({2, 32}, std::span<const gpu::KernelFn>(phases));
+    dev.launch_phases({2, 32}, std::span<const gpu::Phase>(phases));
     FAIL() << "expected FaultError";
   } catch (const FaultError& e) {
     EXPECT_EQ(e.code(), StatusCode::kRetriesExhausted);
@@ -220,11 +220,11 @@ TEST(DeviceFaults, BarrierStallBudgetDeclaresHang) {
 TEST(DeviceFaults, ArmedButIdleCampaignIsBitIdentical) {
   const auto run = [](const FaultPlan* plan) {
     gpu::Device dev(gpu::DeviceConfig{.host_workers = 1, .faults = plan});
-    const std::vector<gpu::KernelFn> phases{
-        [](gpu::ThreadCtx& ctx) { ctx.work(5); ctx.atomic_op(); },
-        [](gpu::ThreadCtx& ctx) { ctx.work(2); ctx.global_access(3); },
+    const std::vector<gpu::Phase> phases{
+        {[](gpu::ThreadCtx& ctx) { ctx.work(5); ctx.atomic_op(); }},
+        {[](gpu::ThreadCtx& ctx) { ctx.work(2); ctx.global_access(3); }},
     };
-    dev.launch_phases({4, 64}, std::span<const gpu::KernelFn>(phases));
+    dev.launch_phases({4, 64}, std::span<const gpu::Phase>(phases));
     return dev.stats();
   };
   // A window that never opens: injection points are evaluated but no fault
@@ -486,7 +486,7 @@ TEST(AppFaults, DmrDataDrivenLocalSpillStillRefines) {
   dmr::RefineOptions opts;
   opts.adaptive = false;
   opts.fixed_tpb = 128;
-  opts.local_queues = true;
+  opts.queue = dmr::DataDrivenQueue::kLocal;
   opts.local_queue_cap = 2;  // tiny: capacity spills on top of injected ones
 
   const FaultPlan plan = plan_of("localwl@1x8");
@@ -519,7 +519,7 @@ TEST(AppFaults, DmrDataDrivenGlobalOverflowStillRefines) {
 }
 
 TEST(AppFaults, ShardedCampaignReplaysBitIdenticalAcrossHostWorkers) {
-  // worklist_mode=sharded must not perturb a fault campaign: an armed
+  // The sharded data-driven queue must not perturb a fault campaign: an armed
   // injector pins every phase sequential, and the sharded rebalance walks
   // shards in index order host-side, so the whole faulted run — injections,
   // recoveries, steal/spill counts, modeled timeline, refined mesh — is a
@@ -530,13 +530,13 @@ TEST(AppFaults, ShardedCampaignReplaysBitIdenticalAcrossHostWorkers) {
     dmr::RefineOptions opts;
     opts.adaptive = false;
     opts.fixed_tpb = 128;
-    // No globalwl clause: under sharded mode the centralized list is the
+    opts.queue = dmr::DataDrivenQueue::kSharded;
+    // No globalwl clause: with a sharded queue the centralized list is the
     // spill target of last resort, so a healthy run gives it no pushes for
     // the injector to fail.
     const FaultPlan plan = plan_of("launch@2x2,barrier@1");
     gpu::DeviceConfig cfg;
     cfg.host_workers = workers;
-    cfg.worklist_mode = gpu::WorklistMode::kSharded;
     cfg.faults = &plan;
     gpu::Device dev(cfg);
     const dmr::RefineStats st = dmr::refine_gpu_datadriven(m, dev, opts);

@@ -434,20 +434,20 @@ TEST(CleanApps, DmrRefineTopologyDrivenCleanAndStatsIdentical) {
   EXPECT_EQ(d_plain.stats().launches, d_san.stats().launches);
 }
 
-TEST(CleanApps, DmrRefineDataDrivenCleanBothWorklistModes) {
-  for (const gpu::WorklistMode mode :
-       {gpu::WorklistMode::kCentralized, gpu::WorklistMode::kSharded}) {
+TEST(CleanApps, DmrRefineDataDrivenCleanCentralAndShardedQueues) {
+  for (const dmr::DataDrivenQueue queue :
+       {dmr::DataDrivenQueue::kCentral, dmr::DataDrivenQueue::kSharded}) {
     dmr::Mesh m = dmr::generate_input_mesh(400, 13);
     Sanitizer san;
     gpu::DeviceConfig cfg;
     cfg.sanitize = &san;
-    cfg.worklist_mode = mode;
     gpu::Device dev(cfg);
-    const dmr::RefineStats st = dmr::refine_gpu_datadriven(m, dev);
+    dmr::RefineOptions opts;
+    opts.queue = queue;
+    const dmr::RefineStats st = dmr::refine_gpu_datadriven(m, dev, opts);
     EXPECT_GT(st.processed, 0u);
-    EXPECT_TRUE(san.clean())
-        << gpu::worklist_mode_name(mode) << ": "
-        << san.findings().front().to_string();
+    EXPECT_TRUE(san.clean()) << "queue " << static_cast<int>(queue) << ": "
+                             << san.findings().front().to_string();
   }
 }
 

@@ -4,7 +4,6 @@
 
 #include <set>
 #include <string>
-#include <tuple>
 
 #include "sp/factor_graph.hpp"
 #include "sp/survey.hpp"
@@ -311,12 +310,10 @@ struct GpuRun {
   std::string trace;  ///< Chrome-trace JSON of every simulated launch
 };
 
-GpuRun run_gpu(const Formula& f, gpu::WorklistMode mode,
-               std::uint32_t host_workers, bool cached) {
+GpuRun run_gpu(const Formula& f, std::uint32_t host_workers, bool cached) {
   telemetry::TraceSink sink;
   gpu::DeviceConfig cfg;
   cfg.host_workers = host_workers;
-  cfg.worklist_mode = mode;
   cfg.trace = &sink;
   gpu::Device dev(cfg);
   SpOptions opts;
@@ -325,7 +322,6 @@ GpuRun run_gpu(const Formula& f, gpu::WorklistMode mode,
   opts.max_phases = 3;
   opts.cache_products = cached;
   opts.walksat_flips = 200;
-  opts.walksat_auto_budget = false;
   GpuRun out;
   out.res = solve_gpu(f, dev, opts);
   out.dev_cycles = dev.stats().modeled_cycles;
@@ -348,35 +344,26 @@ void expect_identical(const GpuRun& a, const GpuRun& b) {
   EXPECT_EQ(a.trace, b.trace);  // byte-identical telemetry
 }
 
-class GpuDeterminism
-    : public ::testing::TestWithParam<std::tuple<gpu::WorklistMode, bool>> {};
-
-TEST_P(GpuDeterminism, ByteIdenticalAcrossHostWorkers) {
-  // The determinism contract behind scripts/tier1.sh's fig9 gate: answers,
-  // modeled stats, counted work, and the full telemetry trace are
-  // byte-identical for 1 vs 8 host workers — snapshot (Jacobi) sweeps,
-  // block-ordered max reduction, ownership-partitioned worklists.
-  const auto [mode, cached] = GetParam();
+// The determinism contract behind scripts/tier1.sh's fig9 gate: answers,
+// modeled stats, counted work, and the full telemetry trace are
+// byte-identical for 1 vs 8 host workers — snapshot (Jacobi) sweeps and a
+// block-ordered max reduction.
+void expect_identical_across_workers(bool cached) {
   const std::uint32_t n = 500;
   auto f = random_ksat(n, static_cast<std::uint32_t>(3.8 * n), 3, 19);
-  const GpuRun one = run_gpu(f, mode, 1, cached);
-  const GpuRun eight = run_gpu(f, mode, 8, cached);
+  const GpuRun one = run_gpu(f, 1, cached);
+  const GpuRun eight = run_gpu(f, 8, cached);
   expect_identical(one, eight);
   EXPECT_GT(one.res.sweeps, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ModesAndCache, GpuDeterminism,
-    ::testing::Combine(::testing::Values(gpu::WorklistMode::kCentralized,
-                                         gpu::WorklistMode::kSharded),
-                       ::testing::Values(true, false)),
-    [](const auto& info) {
-      return std::string(std::get<0>(info.param) ==
-                                 gpu::WorklistMode::kSharded
-                             ? "sharded"
-                             : "centralized") +
-             (std::get<1>(info.param) ? "Cached" : "Uncached");
-    });
+TEST(GpuDeterminism, CachedByteIdenticalAcrossHostWorkers) {
+  expect_identical_across_workers(/*cached=*/true);
+}
+
+TEST(GpuDeterminism, UncachedByteIdenticalAcrossHostWorkers) {
+  expect_identical_across_workers(/*cached=*/false);
+}
 
 TEST(Solve, MulticoreScheduleIsDeterministic) {
   // Repeated runs must reproduce the schedule bit-for-bit: per-worker
@@ -389,7 +376,6 @@ TEST(Solve, MulticoreScheduleIsDeterministic) {
   opts.max_sweeps = 25;
   opts.max_phases = 3;
   opts.walksat_flips = 200;
-  opts.walksat_auto_budget = false;
   cpu::ParallelRunner r1, r2;
   const SpResult a = solve_multicore(f, r1, opts);
   const SpResult b = solve_multicore(f, r2, opts);

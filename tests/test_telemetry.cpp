@@ -100,13 +100,13 @@ TEST(Json, TypeMismatchThrows) {
 
 // A deterministic little multi-phase workload with skewed per-thread work.
 gpu::KernelStats run_workload(gpu::Device& dev) {
-  const gpu::KernelFn phases[3] = {
-      [](gpu::ThreadCtx& ctx) { ctx.work(1 + ctx.tid() % 7); },
-      [](gpu::ThreadCtx& ctx) {
+  const gpu::Phase phases[3] = {
+      {[](gpu::ThreadCtx& ctx) { ctx.work(1 + ctx.tid() % 7); }},
+      {[](gpu::ThreadCtx& ctx) {
         if (ctx.lane() < 4) ctx.atomic_op();
         ctx.global_access();
-      },
-      [](gpu::ThreadCtx& ctx) { ctx.work(ctx.block() % 3); },
+      }},
+      {[](gpu::ThreadCtx& ctx) { ctx.work(ctx.block() % 3); }},
   };
   return dev.launch_phases({16, 64}, phases);
 }

@@ -4,7 +4,7 @@
 //                [--queue-cap=CYCLES] [--max-job-cycles=CYCLES]
 //                [--batch-max=N] [--batch-linger=N] [--small-job=CYCLES]
 //                [--dispatch-cycles=C] [--default-gap=CYCLES]
-//                [--host-workers=N] [--worklist-mode=M]
+//                [--host-workers=N]
 //                [--journal=PATH] [--journal-fsync=always|none|N]
 //                [--journal-checkpoint=N]
 //                [--drain-deadline-ms=MS] [--quarantine-threshold=N]
@@ -51,9 +51,8 @@ int main(int argc, char** argv) {
   args.warn_unknown(
       {"socket", "pool", "workers", "queue-cap", "max-job-cycles", "batch-max",
        "batch-linger", "small-job", "dispatch-cycles", "default-gap",
-       "host-workers", "worklist-mode", "worklist-shards", "journal",
-       "journal-fsync", "journal-checkpoint", "drain-deadline-ms",
-       "quarantine-threshold"},
+       "host-workers", "journal", "journal-fsync", "journal-checkpoint",
+       "drain-deadline-ms", "quarantine-threshold"},
       std::cerr);
 
   cfg.socket_path = args.get("socket", cfg.socket_path);
@@ -76,15 +75,6 @@ int main(int argc, char** argv) {
   cfg.sched.default_gap_cycles =
       args.get_double("default-gap", cfg.sched.default_gap_cycles);
   cfg.device.host_workers = morph::host_workers_arg(args);
-  const std::string wm = args.get("worklist-mode", "centralized");
-  if (!morph::gpu::parse_worklist_mode(wm, &cfg.device.worklist_mode)) {
-    std::cerr << "error: --worklist-mode must be 'centralized' or 'sharded' "
-                 "(got '"
-              << wm << "')\n";
-    return 2;
-  }
-  cfg.device.worklist_shards =
-      static_cast<std::uint32_t>(args.get_int("worklist-shards", 0));
   cfg.journal.path = args.get("journal", "");
   const std::string fsync_policy = args.get("journal-fsync", "always");
   if (!morph::serve::parse_fsync_policy(fsync_policy, &cfg.journal)) {
