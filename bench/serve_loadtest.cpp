@@ -37,12 +37,7 @@
 // with its original arrival stamp, and the merged artifact must be
 // byte-identical to an uninterrupted run (docs/SERVER.md, "Durability &
 // operations").
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -57,6 +52,7 @@
 #include "serve/executor.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/server.hpp"
+#include "server_process.hpp"
 #include "support/check.hpp"
 
 namespace {
@@ -168,49 +164,6 @@ struct Tally {
   std::uint64_t rejected = 0;
 };
 
-/// Runs a Server in a forked child (the crash campaign's victim): the child
-/// serves until a client shutdown or a signal; the parent returns once the
-/// child's socket is listening. SIGKILLing the child is the whole point —
-/// no destructor runs, the socket file and the journal tail are left
-/// exactly as a real crash leaves them. Returns -1 on failure.
-pid_t spawn_server_process(const ServerConfig& scfg) {
-  int ready[2];
-  if (::pipe(ready) != 0) return -1;
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(ready[0]);
-    ::close(ready[1]);
-    return -1;
-  }
-  if (pid == 0) {
-    ::close(ready[0]);
-    ::signal(SIGPIPE, SIG_IGN);
-    {
-      Server server(scfg);
-      const Status s = server.start();
-      if (!s.ok()) {
-        std::cerr << "server child: " << s.to_string() << "\n";
-        ::close(ready[1]);
-        std::_Exit(1);
-      }
-      const char b = 1;
-      [[maybe_unused]] const ssize_t w = ::write(ready[1], &b, 1);
-      ::close(ready[1]);
-      server.wait();
-    }
-    std::_Exit(0);  // clean path: Server destructor already ran
-  }
-  ::close(ready[1]);
-  char b = 0;
-  ssize_t r;
-  while ((r = ::read(ready[0], &b, 1)) < 0 && errno == EINTR) {
-  }
-  ::close(ready[0]);
-  if (r == 1) return pid;
-  ::waitpid(pid, nullptr, 0);
-  return -1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -231,18 +184,18 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(args.get_positive_int("clients", 4));
     const auto seed =
         static_cast<std::uint64_t>(args.get_positive_int("seed", 1));
-    const auto fault_every =
-        static_cast<std::uint64_t>(args.get_int("fault-every", 16));
+    const auto fault_every = static_cast<std::uint64_t>(
+        args.get_int_at_least("fault-every", 0, 16));
     const std::string fault_spec =
         args.get("fault-spec", "launch@1x64");
-    const auto deadline_every =
-        static_cast<std::uint64_t>(args.get_int("deadline-every", 0));
+    const auto deadline_every = static_cast<std::uint64_t>(
+        args.get_int_at_least("deadline-every", 0, 0));
     const double deadline_ms = args.get_double("deadline-ms", 50.0);
     const bool oneshot = args.get_bool("oneshot", false);
     const std::string connect_path = args.get("connect", "");
     const std::string journal_path = args.get("journal", "");
-    const auto crash_after =
-        static_cast<std::uint64_t>(args.get_int("crash-after", 0));
+    const auto crash_after = static_cast<std::uint64_t>(
+        args.get_int_at_least("crash-after", 0, 0));
     if (crash_after > 0 && (oneshot || !connect_path.empty())) {
       std::cerr << "error: --crash-after needs the embedded server mode\n";
       return 2;
@@ -258,8 +211,8 @@ int main(int argc, char** argv) {
     sched.batch_max =
         static_cast<std::uint32_t>(args.get_positive_int("batch-max", 8));
     sched.batch_linger = static_cast<std::uint64_t>(
-        args.get_int("batch-linger", static_cast<std::int64_t>(
-                                         sched.batch_linger)));
+        args.get_int_at_least("batch-linger", 0,
+                              static_cast<std::int64_t>(sched.batch_linger)));
     sched.queue_cap_cycles = args.get_double("queue-cap", sched.queue_cap_cycles);
     sched.max_job_cycles =
         args.get_double("max-job-cycles", sched.max_job_cycles);
@@ -314,20 +267,21 @@ int main(int argc, char** argv) {
       }
     } else {
       std::unique_ptr<Server> server;
-      pid_t server_pid = -1;
+      std::unique_ptr<morph::bench::ServerProcess> victim;
       ServerConfig scfg;
       std::string path = connect_path;
       if (path.empty()) {
         scfg.socket_path = args.get("socket", "/tmp/morph_loadtest.sock");
         scfg.sched = sched;
         scfg.device = bench.device_config();
-        scfg.workers = static_cast<std::uint32_t>(args.get_int("workers", 0));
+        scfg.workers = static_cast<std::uint32_t>(
+            args.get_int_at_least("workers", 0, 0));
         scfg.journal.path = journal_path;
         if (crash_after > 0) {
           // The victim must be a separate process — SIGKILL is the only
           // honest crash.
-          server_pid = spawn_server_process(scfg);
-          if (server_pid < 0) {
+          victim = std::make_unique<morph::bench::ServerProcess>(scfg);
+          if (!victim->start()) {
             std::cerr << "error: failed to spawn the server child\n";
             return 1;
           }
@@ -433,16 +387,14 @@ int main(int argc, char** argv) {
             return 1;
           }
         }
-        ::kill(server_pid, SIGKILL);
-        ::waitpid(server_pid, nullptr, 0);
+        victim->crash();
         std::cerr << "crash campaign: SIGKILL after " << answered_n
                   << " replies; starting recovery\n";
         for (auto& cl : clients) cl->close();
 
         // Phase 2: a recovery child on the same socket (the stale file the
         // corpse left is probed and unlinked) and the same journal.
-        server_pid = spawn_server_process(scfg);
-        if (server_pid < 0) {
+        if (!victim->start()) {
           std::cerr << "error: failed to spawn the recovery server\n";
           return 1;
         }
@@ -508,7 +460,7 @@ int main(int argc, char** argv) {
       }
       clients.clear();
       server.reset();
-      if (server_pid > 0) ::waitpid(server_pid, nullptr, 0);
+      if (victim) victim->reap();
     }
 
     const double wall =

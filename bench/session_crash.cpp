@@ -17,8 +17,6 @@
 // run must match the reference byte for byte — session state, exec-stats
 // deltas, and digests all survive the kill exactly. Exits nonzero on any
 // divergence, so tier1.sh can gate on it directly.
-#include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <array>
@@ -33,6 +31,7 @@
 #include "bench_common.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
+#include "server_process.hpp"
 #include "support/check.hpp"
 #include "telemetry/json.hpp"
 
@@ -40,7 +39,6 @@ namespace {
 
 using morph::Status;
 using morph::serve::Client;
-using morph::serve::Server;
 using morph::serve::ServerConfig;
 using morph::telemetry::Json;
 
@@ -169,47 +167,6 @@ Status send_frame(Client& c, const Frame& f) {
   return Status(morph::StatusCode::kBadRequest, "unreachable");
 }
 
-/// Forked server child, same shape as serve_loadtest's crash victim: no
-/// destructor runs under SIGKILL, so the journal tail and socket file are
-/// left exactly as a real crash leaves them.
-pid_t spawn_server_process(const ServerConfig& scfg) {
-  int ready[2];
-  if (::pipe(ready) != 0) return -1;
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(ready[0]);
-    ::close(ready[1]);
-    return -1;
-  }
-  if (pid == 0) {
-    ::close(ready[0]);
-    ::signal(SIGPIPE, SIG_IGN);
-    {
-      Server server(scfg);
-      const Status s = server.start();
-      if (!s.ok()) {
-        std::cerr << "server child: " << s.to_string() << "\n";
-        ::close(ready[1]);
-        std::_Exit(1);
-      }
-      const char b = 1;
-      [[maybe_unused]] const ssize_t w = ::write(ready[1], &b, 1);
-      ::close(ready[1]);
-      server.wait();
-    }
-    std::_Exit(0);
-  }
-  ::close(ready[1]);
-  char b = 0;
-  ssize_t r;
-  while ((r = ::read(ready[0], &b, 1)) < 0 && errno == EINTR) {
-  }
-  ::close(ready[0]);
-  if (r == 1) return pid;
-  ::waitpid(pid, nullptr, 0);
-  return -1;
-}
-
 struct RunResult {
   bool ok = false;
   std::map<std::uint64_t, std::string> replies;  ///< id -> reply dump
@@ -226,16 +183,14 @@ RunResult run_campaign(const ServerConfig& cfg,
                        const std::vector<Frame>& frames,
                        std::uint64_t kill_after) {
   RunResult out;
-  pid_t pid = spawn_server_process(cfg);
-  if (pid < 0) {
+  morph::bench::ServerProcess server(cfg);
+  if (!server.start()) {
     std::cerr << "error: failed to start server child\n";
     return out;
   }
   Client c;
   if (!c.connect(cfg.socket_path).ok()) {
     std::cerr << "error: connect failed\n";
-    ::kill(pid, SIGKILL);
-    ::waitpid(pid, nullptr, 0);
     return out;
   }
 
@@ -258,8 +213,6 @@ RunResult run_campaign(const ServerConfig& cfg,
     std::string dump;
     if (!ask(frames[i], &dump)) {
       std::cerr << "error: frame id " << frames[i].id << " failed\n";
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, nullptr, 0);
       return out;
     }
     out.replies[frames[i].id] = dump;
@@ -267,18 +220,13 @@ RunResult run_campaign(const ServerConfig& cfg,
 
     if (!killed && kill_after > 0 && replies >= kill_after) {
       killed = true;
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, nullptr, 0);
-      pid = spawn_server_process(cfg);
-      if (pid < 0) {
+      if (!server.restart()) {
         std::cerr << "error: recovery child failed to start\n";
         return out;
       }
       c.close();
       if (!c.connect(cfg.socket_path).ok()) {
         std::cerr << "error: reconnect after crash failed\n";
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, nullptr, 0);
         return out;
       }
       // The already-answered frame, resent with its original stamp: the
@@ -288,8 +236,6 @@ RunResult run_campaign(const ServerConfig& cfg,
         std::cerr << "error: replay reply diverged after crash (id "
                   << frames[i].id << ")\n  pre-crash: " << dump
                   << "\n  replayed:  " << replay << "\n";
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, nullptr, 0);
         return out;
       }
     }
@@ -304,8 +250,7 @@ RunResult run_campaign(const ServerConfig& cfg,
   (void)c.send_shutdown();
   Json bye;
   (void)c.next_message(&bye);
-  int wstatus = 0;
-  ::waitpid(pid, &wstatus, 0);
+  server.reap();
   out.ok = true;
   return out;
 }
@@ -334,8 +279,8 @@ int main(int argc, char** argv) {
                              std::to_string(::getpid());
     const std::string socket = args.get("socket", base + ".sock");
     const std::string journal = args.get("journal", base + ".wal");
-    const auto checkpoint_every =
-        static_cast<std::uint64_t>(args.get_int("checkpoint-every", 4));
+    const auto checkpoint_every = static_cast<std::uint64_t>(
+        args.get_int_at_least("checkpoint-every", 0, 4));
 
     const std::vector<Frame> frames =
         build_frames(updates, rows, nodes, vars, seed);

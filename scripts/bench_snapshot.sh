@@ -21,7 +21,6 @@ trap 'rm -rf "$TMP"' EXIT
 benches=(
   "fig2_parallelism --scale=16"
   "fig6_dmr_runtime --scale=64"
-  "fig7_dmr_speedup --scale=64"
   "fig8_dmr_ablation --scale=400"
   "fig9_sp --scale=400"
   "fig10_pta"

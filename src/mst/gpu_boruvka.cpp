@@ -14,6 +14,7 @@
 // Adjacency lists are never merged; the cost of merging scales with nodes.
 #include <atomic>
 
+#include "mst/edge_key.hpp"
 #include "mst/mst.hpp"
 #include "support/status.hpp"
 #include "support/timer.hpp"
@@ -25,18 +26,6 @@ namespace {
 using graph::EdgeId;
 using graph::Node;
 using graph::Weight;
-
-constexpr std::uint64_t kNoEdge = ~0ull;
-
-/// Total-order key of an undirected edge: weight, then canonical endpoints.
-std::uint64_t edge_key(Weight w, Node u, Node v) {
-  const Node a = u < v ? u : v;
-  // 24 bits of endpoint tiebreak keep the key in 64 bits for weights below
-  // 2^28; inputs in this repo use weights <= 2^20.
-  return (static_cast<std::uint64_t>(w) << 36) |
-         (static_cast<std::uint64_t>(a & 0xffffffu) << 12) |
-         ((u ^ v) & 0xfffu);
-}
 
 struct Best {
   std::uint64_t key = kNoEdge;

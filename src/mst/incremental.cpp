@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "graph/union_find.hpp"
+#include "mst/edge_key.hpp"
 #include "support/check.hpp"
 #include "support/timer.hpp"
 
@@ -13,16 +14,6 @@ namespace {
 
 using graph::Node;
 using graph::Weight;
-
-constexpr std::uint64_t kNoEdge = ~0ull;
-
-/// Same total order as gpu_boruvka.cpp: weight, then canonical endpoints.
-std::uint64_t edge_key(Weight w, Node u, Node v) {
-  const Node a = u < v ? u : v;
-  return (static_cast<std::uint64_t>(w) << 36) |
-         (static_cast<std::uint64_t>(a & 0xffffffu) << 12) |
-         ((u ^ v) & 0xfffu);
-}
 
 struct Candidate {
   std::uint64_t key = kNoEdge;

@@ -15,12 +15,12 @@
 //
 // Modeled cost therefore scales with the size of the touched components
 // (O(changes) on clustered inputs), not with the whole graph. Edges are
-// totally ordered by the same `edge_key` as `mst_gpu` (weight, then
-// canonical endpoints), so whenever that key is collision-free — endpoint
-// pairs within 4096-aligned clusters, weights < 2^28 — the maintained
-// forest is *the* unique MSF and byte-identical to a from-scratch
-// `mst_gpu` solve of the same final edge set, for any `--host-workers`
-// count and worklist mode.
+// totally ordered by the same `edge_key` (mst/edge_key.hpp) as `mst_gpu`
+// (weight, then canonical endpoints), so whenever that key is
+// collision-free — endpoint pairs within 4096-aligned clusters, weights
+// < 2^28 — the maintained forest is *the* unique MSF and byte-identical to
+// a from-scratch `mst_gpu` solve of the same final edge set, for any
+// `--host-workers` count.
 #pragma once
 
 #include <cstdint>

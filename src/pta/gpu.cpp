@@ -18,6 +18,7 @@
 #include "core/adaptive.hpp"
 #include "gpu/memory.hpp"
 #include "gpu/reduce.hpp"
+#include "pta/sets.hpp"
 #include "pta/solve.hpp"
 #include "support/status.hpp"
 #include "support/timer.hpp"
@@ -25,19 +26,6 @@
 namespace morph::pta {
 
 namespace {
-
-bool union_into(std::vector<Var>& dst, const std::vector<Var>& src,
-                std::uint64_t* ops) {
-  if (ops) *ops += dst.size() + src.size() + 1;
-  if (src.empty()) return false;
-  std::vector<Var> merged;
-  merged.reserve(dst.size() + src.size());
-  std::set_union(dst.begin(), dst.end(), src.begin(), src.end(),
-                 std::back_inserter(merged));
-  if (merged.size() == dst.size()) return false;
-  dst.swap(merged);
-  return true;
-}
 
 /// Per-node chunked neighbor list backed by device-heap chunks.
 ///

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "pta/sets.hpp"
 #include "support/check.hpp"
 
 namespace morph::pta {
@@ -28,14 +29,6 @@ void charge(gpu::Device& dev, std::size_t n, const char* label,
       if (atomics != 0) ctx.atomic_op(atomics);
     }
   });
-}
-
-/// Sorted-set insert; returns true when `x` was new.
-bool insert_sorted(std::vector<Var>& set, Var x) {
-  const auto it = std::lower_bound(set.begin(), set.end(), x);
-  if (it != set.end() && *it == x) return false;
-  set.insert(it, x);
-  return true;
 }
 
 void fnv_mix(std::uint64_t& h, std::uint64_t v) {
@@ -70,8 +63,7 @@ PtaDelta apply_updates(PtaState& st, std::span<const Constraint> updates,
   std::uint64_t ops = 0;
 
   const auto add_pts = [&](Var v, Var x) {
-    ++ops;
-    if (!insert_sorted(st.pts[v], x)) return;
+    if (!insert_into(st.pts[v], x, &ops)) return;
     ++st.pts_total;
     ++delta_out.pts_added;
     if (delta[v].empty()) pending.push_back(v);
@@ -81,8 +73,7 @@ PtaDelta apply_updates(PtaState& st, std::span<const Constraint> updates,
   // current set across it — this is how a new constraint resumes the fixed
   // point without a teardown.
   const auto add_edge = [&](Var src, Var dst) {
-    ++ops;
-    if (!insert_sorted(st.edges_out[src], dst)) return;
+    if (!insert_into(st.edges_out[src], dst, &ops)) return;
     ++st.edges_added;
     ++delta_out.edges_added;
     for (const Var x : st.pts[src]) add_pts(dst, x);
@@ -100,14 +91,14 @@ PtaDelta apply_updates(PtaState& st, std::span<const Constraint> updates,
         add_edge(c.src, c.dst);
         break;
       case ConstraintKind::kLoad: {  // dst = *src
-        if (!insert_sorted(st.loads_from[c.src], c.dst)) break;
+        if (!insert_into(st.loads_from[c.src], c.dst, nullptr)) break;
         // Snapshot: add_edge can grow pts[c.src] when src aliases dst.
         const std::vector<Var> snap = st.pts[c.src];
         for (const Var v : snap) add_edge(v, c.dst);
         break;
       }
       case ConstraintKind::kStore: {  // *dst = src
-        if (!insert_sorted(st.stores_to[c.dst], c.src)) break;
+        if (!insert_into(st.stores_to[c.dst], c.src, nullptr)) break;
         const std::vector<Var> snap = st.pts[c.dst];
         for (const Var v : snap) add_edge(c.src, v);
         break;

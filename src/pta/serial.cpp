@@ -1,37 +1,9 @@
 // Serial reference solver and the multicore (push-based) baseline.
-#include <algorithm>
-
+#include "pta/sets.hpp"
 #include "pta/solve.hpp"
 #include "support/timer.hpp"
 
 namespace morph::pta {
-
-namespace {
-
-/// dst |= src (sorted-set union). Returns true if dst grew; adds the
-/// traversal cost to *ops.
-bool union_into(std::vector<Var>& dst, const std::vector<Var>& src,
-                std::uint64_t* ops) {
-  if (ops) *ops += dst.size() + src.size() + 1;
-  if (src.empty()) return false;
-  std::vector<Var> merged;
-  merged.reserve(dst.size() + src.size());
-  std::set_union(dst.begin(), dst.end(), src.begin(), src.end(),
-                 std::back_inserter(merged));
-  if (merged.size() == dst.size()) return false;
-  dst.swap(merged);
-  return true;
-}
-
-bool insert_into(std::vector<Var>& dst, Var v, std::uint64_t* ops) {
-  if (ops) *ops += 1;
-  auto it = std::lower_bound(dst.begin(), dst.end(), v);
-  if (it != dst.end() && *it == v) return false;
-  dst.insert(it, v);
-  return true;
-}
-
-}  // namespace
 
 PtsSets solve_serial(const ConstraintSet& cs, PtaStats* stats) {
   Timer timer;

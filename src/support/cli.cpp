@@ -1,6 +1,7 @@
 #include "support/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 
@@ -50,24 +51,29 @@ bool CliArgs::get_bool(const std::string& name, bool dflt) const {
   return it->second != "0" && it->second != "false";
 }
 
-std::optional<std::int64_t> CliArgs::try_get_positive_int(
-    const std::string& name, std::int64_t dflt) const {
+std::optional<std::int64_t> CliArgs::try_get_int_at_least(
+    const std::string& name, std::int64_t min, std::int64_t dflt) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return dflt;
   const std::string& raw = it->second;
   if (raw.empty()) return std::nullopt;
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(raw.c_str(), &end, 10);
-  if (end == raw.c_str() || *end != '\0') return std::nullopt;
-  if (v <= 0) return std::nullopt;
+  if (end == raw.c_str() || *end != '\0' || errno == ERANGE || v < min) {
+    return std::nullopt;
+  }
   return static_cast<std::int64_t>(v);
 }
 
-std::int64_t CliArgs::get_positive_int(const std::string& name,
+std::int64_t CliArgs::get_int_at_least(const std::string& name,
+                                       std::int64_t min,
                                        std::int64_t dflt) const {
-  if (const auto v = try_get_positive_int(name, dflt)) return *v;
-  std::cerr << "error: --" << name << "=" << get(name, "")
-            << " is not a positive integer\n";
+  if (const auto v = try_get_int_at_least(name, min, dflt)) return *v;
+  std::cerr << "error: --" << name << "=" << get(name, "") << " is not "
+            << (min == 1 ? "a positive integer"
+                         : "an integer >= " + std::to_string(min))
+            << "\n";
   std::exit(2);
 }
 

@@ -22,17 +22,26 @@ class CliArgs {
   double get_double(const std::string& name, double dflt) const;
   bool get_bool(const std::string& name, bool dflt) const;
 
-  /// Strict variant for size/scale flags: the flag must parse completely as
-  /// an integer and be strictly positive. Returns nullopt on a malformed or
-  /// non-positive value (and the default when the flag is absent).
-  std::optional<std::int64_t> try_get_positive_int(const std::string& name,
-                                                   std::int64_t dflt) const;
+  /// Strict variant for count/size flags: the flag must parse completely as
+  /// an integer no smaller than `min`. Returns nullopt on a malformed or
+  /// out-of-range value (and the default when the flag is absent).
+  std::optional<std::int64_t> try_get_int_at_least(const std::string& name,
+                                                    std::int64_t min,
+                                                    std::int64_t dflt) const;
 
-  /// try_get_positive_int, but a bad value prints a clear error to stderr
-  /// and exits with status 2 — benches use this so `--scale=0` (which would
-  /// divide workload sizes by zero) fails loudly instead of garbling sizes.
-  std::int64_t get_positive_int(const std::string& name,
+  /// try_get_int_at_least, but a bad value prints a clear error to stderr
+  /// and exits with status 2 — so `--workers=-1` fails loudly instead of
+  /// wrapping to a huge unsigned count. Counts where 0 means "auto" or "off"
+  /// use min = 0.
+  std::int64_t get_int_at_least(const std::string& name, std::int64_t min,
                                 std::int64_t dflt) const;
+
+  /// get_int_at_least with min = 1, for size/scale flags (`--scale=0` would
+  /// divide workload sizes by zero).
+  std::int64_t get_positive_int(const std::string& name,
+                                std::int64_t dflt) const {
+    return get_int_at_least(name, 1, dflt);
+  }
 
   /// Warns on every parsed flag not in `known` (so typos like
   /// `--host-worker=4` don't silently no-op), suggesting the closest known

@@ -4,6 +4,8 @@
 // accounting across apps).
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "dmr/cavity.hpp"
 #include "gpu/memory.hpp"
 #include "dmr/delaunay.hpp"
@@ -122,16 +124,33 @@ TEST(Barriers, NaiveAtomicBarrierIsTheSlowestForDmr) {
 }
 
 TEST(MulticoreScaling, DmrModeledTimeImprovesWithWorkers) {
-  // The x-axis of Fig. 6: more CPU workers, lower modeled runtime.
+  // The x-axis of Fig. 6: more CPU workers, lower modeled runtime. The
+  // refinement itself must not depend on the width — fig6_dmr_runtime reads
+  // the sequential baseline off its 1-worker run — so only modeled_cycles
+  // may differ between widths.
   dmr::Mesh base = dmr::generate_input_mesh(2000, 11);
   double prev = 1e300;
+  std::optional<dmr::RefineStats> first;
+  std::uint64_t first_work = 0;
   for (std::uint32_t workers : {1u, 8u, 48u}) {
     dmr::Mesh m = base;
     cpu::ParallelRunner runner({.workers = workers});
-    dmr::refine_multicore(m, runner);
+    const dmr::RefineStats st = dmr::refine_multicore(m, runner);
     EXPECT_EQ(m.compute_all_bad(30.0), 0u);
     EXPECT_LT(runner.stats().modeled_cycles, prev);
     prev = runner.stats().modeled_cycles;
+    EXPECT_EQ(st.final_triangles, m.num_live());
+    if (!first) {
+      first = st;
+      first_work = runner.stats().total_work;
+      continue;
+    }
+    EXPECT_EQ(st.rounds, first->rounds) << workers << " workers";
+    EXPECT_EQ(st.processed, first->processed) << workers << " workers";
+    EXPECT_EQ(st.aborted, first->aborted) << workers << " workers";
+    EXPECT_EQ(st.final_triangles, first->final_triangles)
+        << workers << " workers";
+    EXPECT_EQ(runner.stats().total_work, first_work) << workers << " workers";
   }
 }
 

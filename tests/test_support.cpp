@@ -183,15 +183,26 @@ TEST(Cli, CollectsPositionalArguments) {
 
 TEST(Cli, PositiveIntAcceptsOnlyStrictlyPositiveIntegers) {
   const char* argv[] = {"prog",       "--ok=64",  "--zero=0", "--neg=-3",
-                        "--junk=12x", "--empty=", "--word=ten"};
-  CliArgs args(7, const_cast<char**>(argv));
-  EXPECT_EQ(args.try_get_positive_int("ok", 1), 64);
-  EXPECT_EQ(args.try_get_positive_int("absent", 7), 7);  // default passes
-  EXPECT_EQ(args.try_get_positive_int("zero", 1), std::nullopt);
-  EXPECT_EQ(args.try_get_positive_int("neg", 1), std::nullopt);
-  EXPECT_EQ(args.try_get_positive_int("junk", 1), std::nullopt);
-  EXPECT_EQ(args.try_get_positive_int("empty", 1), std::nullopt);
-  EXPECT_EQ(args.try_get_positive_int("word", 1), std::nullopt);
+                        "--junk=12x", "--empty=", "--word=ten",
+                        "--huge=99999999999999999999"};
+  CliArgs args(8, const_cast<char**>(argv));
+  EXPECT_EQ(args.try_get_int_at_least("ok", 1, 1), 64);
+  EXPECT_EQ(args.try_get_int_at_least("absent", 1, 7), 7);  // default passes
+  EXPECT_EQ(args.try_get_int_at_least("zero", 1, 1), std::nullopt);
+  EXPECT_EQ(args.try_get_int_at_least("neg", 1, 1), std::nullopt);
+  EXPECT_EQ(args.try_get_int_at_least("junk", 1, 1), std::nullopt);
+  EXPECT_EQ(args.try_get_int_at_least("empty", 1, 1), std::nullopt);
+  EXPECT_EQ(args.try_get_int_at_least("word", 1, 1), std::nullopt);
+  EXPECT_EQ(args.try_get_int_at_least("huge", 1, 1), std::nullopt);
+
+  // Bound 0, for counts where 0 means auto/off (--workers, --crash-after,
+  // ...): zero passes, a negative value must not wrap to a huge unsigned.
+  EXPECT_EQ(args.try_get_int_at_least("zero", 0, 5), 0);
+  EXPECT_EQ(args.try_get_int_at_least("ok", 0, 5), 64);
+  EXPECT_EQ(args.try_get_int_at_least("absent", 0, 5), 5);
+  EXPECT_EQ(args.try_get_int_at_least("neg", 0, 5), std::nullopt);
+  EXPECT_EQ(args.try_get_int_at_least("junk", 0, 5), std::nullopt);
+  EXPECT_EQ(args.try_get_int_at_least("huge", 0, 5), std::nullopt);
 }
 
 TEST(Cli, WarnUnknownFlagsSuggestsClosestKnown) {

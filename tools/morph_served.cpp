@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
   cfg.socket_path = args.get("socket", cfg.socket_path);
   cfg.sched.pool =
       static_cast<std::uint32_t>(args.get_positive_int("pool", 1));
-  cfg.workers = static_cast<std::uint32_t>(args.get_int("workers", 0));
+  cfg.workers =
+      static_cast<std::uint32_t>(args.get_int_at_least("workers", 0, 0));
   cfg.sched.queue_cap_cycles =
       args.get_double("queue-cap", cfg.sched.queue_cap_cycles);
   cfg.sched.max_job_cycles =
@@ -66,8 +67,8 @@ int main(int argc, char** argv) {
   cfg.sched.batch_max =
       static_cast<std::uint32_t>(args.get_positive_int("batch-max", 8));
   cfg.sched.batch_linger = static_cast<std::uint64_t>(
-      args.get_int("batch-linger", static_cast<std::int64_t>(
-                                       cfg.sched.batch_linger)));
+      args.get_int_at_least("batch-linger", 0,
+                            static_cast<std::int64_t>(cfg.sched.batch_linger)));
   cfg.sched.small_job_cycles =
       args.get_double("small-job", cfg.sched.small_job_cycles);
   cfg.sched.dispatch_cycles =
@@ -83,14 +84,16 @@ int main(int argc, char** argv) {
               << fsync_policy << "')\n";
     return 2;
   }
-  cfg.journal.checkpoint_every = static_cast<std::uint64_t>(args.get_int(
-      "journal-checkpoint",
-      static_cast<std::int64_t>(cfg.journal.checkpoint_every)));
+  cfg.journal.checkpoint_every =
+      static_cast<std::uint64_t>(args.get_int_at_least(
+          "journal-checkpoint", 0,
+          static_cast<std::int64_t>(cfg.journal.checkpoint_every)));
   cfg.drain_deadline_ms =
       args.get_double("drain-deadline-ms", cfg.drain_deadline_ms);
-  cfg.quarantine_threshold = static_cast<std::uint32_t>(
-      args.get_int("quarantine-threshold",
-                   static_cast<std::int64_t>(cfg.quarantine_threshold)));
+  cfg.quarantine_threshold =
+      static_cast<std::uint32_t>(args.get_int_at_least(
+          "quarantine-threshold", 0,
+          static_cast<std::int64_t>(cfg.quarantine_threshold)));
 
   if (::pipe(g_stop_pipe) != 0) {
     std::cerr << "error: pipe: " << std::strerror(errno) << "\n";
