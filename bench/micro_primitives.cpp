@@ -62,18 +62,6 @@ void BM_MarkTableLocks(benchmark::State& state) {
 }
 BENCHMARK(BM_MarkTableLocks);
 
-void BM_LocalWorklist(benchmark::State& state) {
-  gpu::LocalWorklist<std::uint32_t> wl(1024);
-  for (auto _ : state) {
-    wl.clear();
-    for (std::uint32_t i = 0; i < 1024; ++i) wl.push(i);
-    std::uint64_t sum = 0;
-    while (auto v = wl.pop()) sum += *v;
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_LocalWorklist);
-
 void BM_GlobalWorklist(benchmark::State& state) {
   gpu::Device dev;
   gpu::GlobalWorklist<std::uint32_t> wl(1 << 16);

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the regular build + full test suite, lint, the
-# MorphSan hazard-sanitizer smoke, then ThreadSanitizer and ASan+UBSan
+# Tier-1 verification: the regular build (warnings as errors) + full test suite,
+# lint, the MorphSan hazard-sanitizer smoke, then ThreadSanitizer and ASan+UBSan
 # builds of the concurrency-sensitive suites (the gpu/core/dmr labels cover
 # the worklists, the block-parallel Device, the conflict protocol, and the
 # refinement drivers that exercise them under host_workers > 1).
@@ -14,8 +14,8 @@ TSAN_BUILD="${2:-build-tsan}"
 ASAN_BUILD="${3:-build-asan}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-echo "== tier 1: regular build + full ctest =="
-cmake -B "$BUILD" -S .
+echo "== tier 1: regular build (warnings are errors) + full ctest =="
+cmake -B "$BUILD" -S . -DMORPH_WERROR=ON
 cmake --build "$BUILD" -j "$JOBS"
 ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
 

@@ -1,8 +1,8 @@
 #include "dmr/refine.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -15,6 +15,13 @@
 namespace morph::dmr {
 
 namespace {
+
+/// Threads per block of the first adaptive launch (paper: DMR starts at 64
+/// and doubles).
+constexpr std::uint32_t kInitialTpb = 64;
+/// Round cap of the round-based drivers; a run that reaches it fails its
+/// convergence check.
+constexpr std::uint64_t kMaxRounds = 1u << 20;
 
 /// Charges one uncoalesced global access per neighborhood element whose slot
 /// id is far from the candidate's — the effect the memory-layout
@@ -30,30 +37,229 @@ void charge_locality(gpu::ThreadCtx& ctx, Tri candidate,
   }
 }
 
-/// Arms MarkTable::force_ties for one round when the campaign injects a
-/// livelock at this round's opportunity. Returns whether it fired.
-bool inject_livelock_round(gpu::Device& dev, core::MarkTable& marks,
-                           std::uint64_t round) {
-  if (!dev.fault_should_fire(resilience::FaultClass::kLivelock)) return false;
-  marks.set_force_ties(true);
-  dev.note_fault(resilience::FaultClass::kLivelock,
-                 "forced priority ties for round " + std::to_string(round));
-  return true;
+/// The memory-layout pass (Sec. 6.1) when enabled; returns `m`.
+Mesh& laid_out(Mesh& m, const RefineOptions& opts) {
+  if (opts.layout_opt) m.compact_and_reorder();
+  return m;
 }
 
-/// The invariant gate for serialized-arbitration recovery: validates the
-/// mesh, rolling back to `checkpoint` (when present) and failing with
-/// kInvariantViolation if refinement corrupted it.
-void gate_mesh_invariants(Mesh& m, std::optional<Mesh>& checkpoint,
-                          const char* when) {
-  std::string why;
-  if (m.validate(&why)) return;
-  if (checkpoint) m = std::move(*checkpoint);
-  throw FaultError(Status(StatusCode::kInvariantViolation,
-                          std::string(when) + ": mesh invalid: " + why +
-                              (checkpoint ? " (rolled back to checkpoint)"
-                                          : "")));
-}
+/// The GPU refinement round both drivers share. It owns the per-run conflict
+/// state (mark table, slot recycler, adaptive launcher, livelock watchdog)
+/// and the skeleton around each driver's own kernel: begin_round() before
+/// the launch, commit() for every cavity that wins its conflict check, and
+/// end_round() / finish() after it. Candidate selection, the prologue and
+/// any post-launch work stay with the drivers.
+class GpuRefinement {
+ public:
+  /// Per-thread state of one round, indexed by global thread id.
+  struct Round {
+    gpu::LaunchConfig lc;
+    std::vector<Tri> cand;  ///< the thread's bad triangle, or Mesh::kNone
+    std::vector<Cavity> cav;
+    std::vector<std::vector<Tri>> hood;
+    std::vector<std::uint8_t> owns;
+    // Touched only in sequential commit phases: plain counters.
+    std::uint64_t processed = 0, aborted = 0;
+    bool injected_livelock = false;
+  };
+
+  /// Runs the layout pass first, so RefineStats::wall_seconds covers it.
+  GpuRefinement(Mesh& m, gpu::Device& dev, const RefineOptions& opts,
+                const char* driver)
+      : m_(laid_out(m, opts)),
+        dev_(dev),
+        opts_(opts),
+        driver_(driver),
+        cb_(cos_of_deg(opts.min_angle_deg)),
+        // Block count proportional to the input size (Sec. 7.4). The divisor
+        // is chosen so a thread's local worklist (its contiguous chunk,
+        // Sec. 7.5) covers a few dozen triangles at full occupancy — the
+        // proportion the paper's 3x..50x SM range implies for its inputs.
+        sm_factor_(std::clamp(static_cast<double>(m.num_slots()) /
+                                  (16384.0 * dev.config().num_sms),
+                              3.0, 50.0)),
+        recycler_(opts.recycle ? 1u << 22 : 0u),
+        launcher_(kInitialTpb, 3, sm_factor_),
+        watchdog_(opts.watchdog_escalate_after, opts.watchdog_give_up_after),
+        marks_(m.num_slots()) {
+    recycler_.set_sanitizer(dev.sanitizer());
+  }
+
+  double sm_factor() const { return sm_factor_; }
+  core::MarkTable& marks() { return marks_; }
+  RefineStats& stats() { return st_; }
+
+  /// Records the bad-triangle count the run starts from.
+  void start(std::uint64_t initial_bad) {
+    st_.initial_bad = initial_bad;
+    bad_count_ = static_cast<std::int64_t>(initial_bad);
+  }
+  bool more_rounds() const { return bad_count_ > 0 && st_.rounds < kMaxRounds; }
+  std::int64_t bad_count() const { return bad_count_; }
+
+  /// Opens a round: livelock injection, launch geometry (adaptive, or
+  /// `fixed_tpb` threads per block), mark reset, fresh per-thread state.
+  Round begin_round(const char* label) {
+    ++st_.rounds;
+    Round r;
+    // A campaign's livelock clause forces priority ties for this round.
+    if (dev_.fault_should_fire(resilience::FaultClass::kLivelock)) {
+      marks_.set_force_ties(true);
+      dev_.note_fault(resilience::FaultClass::kLivelock,
+                      "forced priority ties for round " +
+                          std::to_string(st_.rounds));
+      r.injected_livelock = true;
+    }
+    const std::uint64_t nslots = m_.num_slots();
+    r.lc = opts_.adaptive ? launcher_.next(dev_.config())
+                          : core::fixed_config(dev_.config(), sm_factor_,
+                                               opts_.fixed_tpb);
+    r.lc.label = label;
+    if (marks_.size() < nslots) marks_.resize(nslots + nslots / 2);
+    marks_.reset();
+    const std::uint64_t T = r.lc.total_threads();
+    r.cand.assign(T, Mesh::kNone);
+    r.cav.resize(T);
+    r.hood.resize(T);
+    r.owns.assign(T, 0);
+    return r;
+  }
+
+  /// Applies thread t's cavity after it won its conflict check: the guarded
+  /// write, retriangulation, slot recycling, bad-count delta and work
+  /// charge. Mesh mutation (and the slot allocation it performs) is
+  /// inherently serialized on the host, so every phase that commits runs as
+  /// a *sequential* phase: blocks execute in ascending order on one host
+  /// thread. The modeled cost is unchanged; what it buys is a commit order
+  /// that does not depend on host-thread interleaving, which makes whole
+  /// refinement runs (mesh, stats, modeled cycles) deterministic for any
+  /// host_workers value. Returns the new triangles.
+  std::vector<Tri> commit(gpu::ThreadCtx& ctx, Round& r, std::uint32_t t) {
+    // The guarded mutation the 3-phase protocol exists to protect: every
+    // cavity element must be owned by this activity in the mark table.
+    if (analysis::Sanitizer* s = ctx.san()) {
+      s->on_guarded_write(&marks_, ctx.block(), t, r.hood[t]);
+    }
+    std::vector<Tri> added;
+    apply(r.cav[t], &added);
+    ctx.work(r.cav[t].tris.size() + added.size());
+    ++r.processed;
+    return added;
+  }
+
+  /// The 3-phase protocol's parallel middle phase: each candidate records
+  /// whether it wins the priority check on its whole neighborhood.
+  gpu::Phase priority_phase(Round& r) {
+    return {[this, &r](gpu::ThreadCtx& ctx) {
+      const std::uint32_t t = ctx.tid();
+      if (r.cand[t] == Mesh::kNone) return;
+      r.owns[t] = marks_.priority_check(ctx, t, r.hood[t]) ? 1 : 0;
+    }, /*sequential=*/false};
+  }
+
+  /// Closes a round after the launch and the driver's post-launch work:
+  /// folds its counters into the run stats and feeds the livelock watchdog.
+  void end_round(Round& r) {
+    if (r.injected_livelock) marks_.set_force_ties(false);
+    st_.processed += r.processed;
+    st_.aborted += r.aborted;
+
+    // Live-lock watchdog (Sec. 7.3 + docs/RESILIENCE.md): the 3-phase
+    // protocol only terminates with high probability, so no-progress rounds
+    // are tracked and escalated. The default thresholds escalate on the
+    // first fully aborted round — the historical fallback — and never give
+    // up; campaigns tighten them to exercise the whole ladder.
+    const auto action = watchdog_.observe(r.processed > 0);
+    if (action == resilience::LivelockWatchdog::Action::kGiveUp &&
+        bad_count_ > 0) {
+      throw FaultError(watchdog_.give_up_status(driver_));
+    }
+    if (action == resilience::LivelockWatchdog::Action::kEscalate &&
+        bad_count_ > 0) {
+      escalate();
+      if (r.injected_livelock) {
+        dev_.note_recovery(
+            "livelock watchdog escalated to serialized arbitration");
+      }
+    } else if (r.injected_livelock) {
+      dev_.note_recovery("retrying round after forced priority ties");
+    }
+  }
+
+  /// Checks convergence (and, when enabled, the final mesh invariants) and
+  /// returns the run's stats.
+  RefineStats finish() {
+    MORPH_CHECK_MSG(bad_count_ == 0,
+                    driver_ << ": refinement hit the round limit");
+    if (opts_.validate_invariants) gate_invariants(nullptr, "result");
+    st_.final_triangles = m_.num_live();
+    st_.wall_seconds = timer_.seconds();
+    st_.modeled_cycles = dev_.stats().modeled_cycles;
+    return st_;
+  }
+
+ private:
+  /// Retriangulates `c`, recycles its slots and applies the bad-count delta.
+  void apply(const Cavity& c, std::vector<Tri>* added) {
+    std::int64_t bad_in_cavity = 0;
+    for (Tri d : c.tris) bad_in_cavity += m_.is_bad(d) ? 1 : 0;
+    const RetriangulateResult res = retriangulate(
+        m_, c, cb_, opts_.recycle ? &recycler_ : nullptr, added);
+    if (opts_.recycle) {
+      for (Tri d : c.tris) recycler_.give(d);
+    }
+    bad_count_ += static_cast<std::int64_t>(res.new_bad) - bad_in_cavity;
+  }
+
+  /// The invariant gate for serialized-arbitration recovery: validates the
+  /// mesh, rolling back to `checkpoint` (when given) and failing with
+  /// kInvariantViolation if refinement corrupted it.
+  void gate_invariants(Mesh* checkpoint, const char* when) {
+    std::string why;
+    if (m_.validate(&why)) return;
+    if (checkpoint) m_ = std::move(*checkpoint);
+    throw FaultError(Status(
+        StatusCode::kInvariantViolation,
+        std::string(driver_) + " " + when + ": mesh invalid: " + why +
+            (checkpoint ? " (rolled back to checkpoint)" : "")));
+  }
+
+  /// Serialized priority arbitration: refine one bad triangle with a
+  /// single-thread kernel — trivially tie-free. When the invariant gate is
+  /// on, the mesh is checkpointed first and rolled back if the escalation
+  /// corrupts it.
+  void escalate() {
+    ++st_.fallbacks;
+    std::optional<Mesh> checkpoint;
+    if (opts_.validate_invariants) checkpoint = m_;
+    dev_.launch({1, 1, "dmr.escalate"}, [&](gpu::ThreadCtx& ctx) {
+      for (Tri t = 0; t < m_.num_slots(); ++t) {
+        ctx.work(1);
+        if (m_.is_deleted(t) || !m_.is_bad(t)) continue;
+        const Cavity c = build_refinement_cavity(m_, t, opts_.use_float);
+        ctx.work(c.steps);
+        apply(c, nullptr);
+        ++st_.processed;
+        break;
+      }
+    });
+    if (opts_.validate_invariants) gate_invariants(&*checkpoint, "escalation");
+  }
+
+  Timer timer_;
+  Mesh& m_;
+  gpu::Device& dev_;
+  const RefineOptions& opts_;
+  const char* driver_;
+  double cb_;
+  double sm_factor_;
+  core::SlotRecycler recycler_;
+  core::AdaptiveLauncher launcher_;
+  resilience::LivelockWatchdog watchdog_;
+  RefineStats st_;
+  std::int64_t bad_count_ = 0;
+  core::MarkTable marks_;
+};
 
 }  // namespace
 
@@ -110,7 +316,7 @@ RefineStats refine_multicore(Mesh& m, cpu::ParallelRunner& runner,
 
   std::vector<Tri> next;
   std::vector<Tri> added;
-  while (!candidates.empty() && st.rounds < opts.max_rounds) {
+  while (!candidates.empty() && st.rounds < kMaxRounds) {
     ++st.rounds;
     next.clear();
     // Per-round speculation state: element -> claiming item index.
@@ -156,22 +362,9 @@ RefineStats refine_multicore(Mesh& m, cpu::ParallelRunner& runner,
 }
 
 RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
-  Timer timer;
-  RefineStats st;
+  GpuRefinement run(m, dev, opts, "dmr::refine_gpu");
   const double cb = cos_of_deg(opts.min_angle_deg);
-
-  if (opts.layout_opt) m.compact_and_reorder();
-
-  // Block count proportional to the input size (Sec. 7.4). The divisor is
-  // chosen so a thread's local worklist (its contiguous chunk, Sec. 7.5)
-  // covers a few dozen triangles at full occupancy — the proportion the
-  // paper's 3x..50x SM range implies for its inputs.
-  const double sm_factor =
-      opts.sm_factor > 0.0
-          ? opts.sm_factor
-          : std::clamp(static_cast<double>(m.num_slots()) /
-                           (16384.0 * dev.config().num_sms),
-                       3.0, 50.0);
+  core::MarkTable& marks = run.marks();
 
   // Transfer of the initial mesh (main() in Fig. 3).
   dev.note_copy(m.num_slots() * (3 * sizeof(Vtx) + 3 * sizeof(Tri)) +
@@ -179,14 +372,10 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
 
   // Memory strategy (Sec. 7.1). `reserved_slots` is the model-side view of
   // how much device storage has been cudaMalloc'ed for triangles.
-  std::uint64_t reserved_slots;
-  if (opts.prealloc) {
-    reserved_slots = m.num_slots() * 12;  // generous static bound
-    dev.note_host_alloc(reserved_slots * (3 * sizeof(Vtx) + 3 * sizeof(Tri)));
-  } else {
-    reserved_slots = m.num_slots();
-    dev.note_host_alloc(reserved_slots * (3 * sizeof(Vtx) + 3 * sizeof(Tri)));
-  }
+  std::uint64_t reserved_slots =
+      opts.prealloc ? m.num_slots() * 12  // generous static bound
+                    : m.num_slots();
+  dev.note_host_alloc(reserved_slots * (3 * sizeof(Vtx) + 3 * sizeof(Tri)));
   auto ensure_reserved = [&](std::uint64_t needed) {
     if (needed <= reserved_slots) return;
     const std::uint64_t bytes_now =
@@ -197,9 +386,9 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
   };
 
   // initialize_kernel: compute bad flags (real work, charged per slot).
-  std::int64_t bad_count = 0;
   {
-    gpu::LaunchConfig lc = core::fixed_config(dev.config(), sm_factor, 256);
+    gpu::LaunchConfig lc =
+        core::fixed_config(dev.config(), run.sm_factor(), 256);
     lc.label = "dmr.init";
     const std::uint64_t n = m.num_slots();
     const std::uint64_t T = lc.total_threads();
@@ -218,45 +407,21 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
       }
       if (local) bad_total.fetch_add(local, std::memory_order_relaxed);
     });
-    bad_count = bad_total.load();
+    run.start(static_cast<std::uint64_t>(bad_total.load()));
   }
-  st.initial_bad = static_cast<std::uint64_t>(bad_count);
 
-  core::SlotRecycler recycler(opts.recycle ? 1u << 22 : 0u);
-  recycler.set_sanitizer(dev.sanitizer());
-  core::MarkTable marks(m.num_slots());
-  core::AdaptiveLauncher launcher(opts.initial_tpb, 3, sm_factor);
-  resilience::LivelockWatchdog watchdog(opts.watchdog_escalate_after,
-                                        opts.watchdog_give_up_after);
-
-  while (bad_count > 0 && st.rounds < opts.max_rounds) {
-    ++st.rounds;
-    const bool injected_livelock =
-        inject_livelock_round(dev, marks, st.rounds);
+  while (run.more_rounds()) {
+    GpuRefinement::Round r = run.begin_round("dmr.refine");
     const std::uint64_t nslots = m.num_slots();
-    gpu::LaunchConfig lc =
-        opts.adaptive ? launcher.next(dev.config())
-                      : core::fixed_config(dev.config(), sm_factor,
-                                           opts.fixed_tpb);
-    lc.label = "dmr.refine";
-    const std::uint64_t T = lc.total_threads();
-
-    if (marks.size() < nslots) marks.resize(nslots + nslots / 2);
-    marks.reset();
+    const std::uint64_t T = r.lc.total_threads();
 
     // Host pre-calculation of the next kernel's memory needs (Host-Only).
-    ensure_reserved(m.num_slots() +
-                    static_cast<std::uint64_t>(
-                        std::min<std::int64_t>(bad_count,
-                                               static_cast<std::int64_t>(T))) *
+    ensure_reserved(nslots +
+                    static_cast<std::uint64_t>(std::min<std::int64_t>(
+                        run.bad_count(), static_cast<std::int64_t>(T))) *
                         8);
 
     const std::uint64_t chunk = (nslots + T - 1) / T;
-    std::vector<Cavity> cav(T);
-    std::vector<std::vector<Tri>> hood(T);
-    std::vector<std::uint8_t> active(T, 0), owns(T, 0);
-    // Touched only in sequential commit phases (see below): plain counters.
-    std::uint64_t round_processed = 0, round_aborted = 0;
 
     // --- phase 1: find a bad triangle, build its cavity, race-mark ---
     //
@@ -291,194 +456,92 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
         ctx.work(scanned);
       }
       if (target == Mesh::kNone) return;
-      cav[t] = build_refinement_cavity(m, target, opts.use_float);
+      r.cav[t] = build_refinement_cavity(m, target, opts.use_float);
       // Single-precision containment tests (Fig. 8 row 7): half the
       // arithmetic and memory traffic of the double-precision path.
-      ctx.work(opts.use_float ? cav[t].steps / 2 : cav[t].steps);
-      hood[t] = cav[t].neighborhood(m);
-      charge_locality(ctx, target, hood[t]);
-      active[t] = 1;
+      ctx.work(opts.use_float ? r.cav[t].steps / 2 : r.cav[t].steps);
+      r.hood[t] = r.cav[t].neighborhood(m);
+      charge_locality(ctx, target, r.hood[t]);
+      r.cand[t] = target;
       if (opts.scheme != core::ConflictScheme::kLocks) {
-        marks.race_mark(ctx, t, hood[t]);
+        marks.race_mark(ctx, t, r.hood[t]);
       }
     };
 
-    // --- the apply step shared by all schemes ---
-    //
-    // Mesh mutation (and the slot allocation it performs) is inherently
-    // serialized on the host, so every phase that calls apply() runs as a
-    // *sequential* phase: blocks execute in ascending order on one host
-    // thread. The modeled cost is unchanged; what it buys is a commit order
-    // that does not depend on host-thread interleaving, which makes whole
-    // refinement runs (mesh, stats, modeled cycles) deterministic for any
-    // host_workers value. All parallel wall-clock gain lives in the cavity
-    // building of the race phase, which stays block-parallel.
-    auto apply = [&](gpu::ThreadCtx& ctx, std::uint32_t t) {
-      // The guarded mutation the 3-phase protocol exists to protect: every
-      // cavity element must be owned by this activity in the mark table.
-      if (analysis::Sanitizer* s = ctx.san()) {
-        s->on_guarded_write(&marks, ctx.block(), t, hood[t]);
-      }
-      std::int64_t bad_in_cavity = 0;
-      for (Tri d : cav[t].tris) bad_in_cavity += m.is_bad(d) ? 1 : 0;
-      std::vector<Tri> added;
-      const RetriangulateResult res = retriangulate(
-          m, cav[t], cb, opts.recycle ? &recycler : nullptr, &added);
-      ctx.work(cav[t].tris.size() + added.size());
-      if (opts.recycle) {
-        for (Tri d : cav[t].tris) recycler.give(d);
-      }
-      bad_count += static_cast<std::int64_t>(res.new_bad) - bad_in_cavity;
-      ++round_processed;
+    // A two-phase scheme's single sequential check-and-commit phase.
+    // The sequential phase that commits every cavity passing `check`.
+    auto check_then_commit = [&](auto check) {
+      return gpu::Phase{[&, check](gpu::ThreadCtx& ctx) {
+        const std::uint32_t t = ctx.tid();
+        if (r.cand[t] == Mesh::kNone) return;
+        if (check(ctx, t)) {
+          run.commit(ctx, r, t);
+        } else {
+          ++r.aborted;
+        }
+      }, /*sequential=*/true};
     };
 
     std::vector<gpu::Phase> phases;
-    phases.push_back({phase_race, /*sequential=*/false});
     switch (opts.scheme) {
-      case core::ConflictScheme::kLocks: {
+      case core::ConflictScheme::kLocks:
         // Single phase: claim per-element locks in id order, apply, done.
         // Lock claiming + apply is mutual exclusion — fully sequential.
-        phases.clear();
         phases.push_back({[&](gpu::ThreadCtx& ctx) {
           phase_race(ctx);
           const std::uint32_t t = ctx.tid();
-          if (!active[t]) return;
-          if (marks.try_claim(ctx, t, hood[t])) {
-            owns[t] = 1;
-            apply(ctx, t);
+          if (r.cand[t] == Mesh::kNone) return;
+          if (marks.try_claim(ctx, t, r.hood[t])) {
+            run.commit(ctx, r, t);
             // Unlock at the end of the operation.
-            ctx.atomic_op(hood[t].size());
+            ctx.atomic_op(r.hood[t].size());
           } else {
             // A real lock-based kernel spins before giving up; charge the
             // retries that make mutual exclusion "ill-suited for GPUs".
             constexpr std::uint64_t kSpinRetries = 8;
-            ctx.atomic_op(kSpinRetries * hood[t].size());
-            ++round_aborted;
+            ctx.atomic_op(kSpinRetries * r.hood[t].size());
+            ++r.aborted;
           }
         }, /*sequential=*/true});
         break;
-      }
       case core::ConflictScheme::kTwoPhaseRaceCheck:
-        phases.push_back({[&](gpu::ThreadCtx& ctx) {
-          const std::uint32_t t = ctx.tid();
-          if (!active[t]) return;
-          if (marks.exact_check(ctx, t, hood[t])) {
-            owns[t] = 1;
-            apply(ctx, t);
-          } else {
-            ++round_aborted;
-          }
-        }, /*sequential=*/true});
+        phases.push_back({phase_race, /*sequential=*/false});
+        phases.push_back(check_then_commit(
+            [&](gpu::ThreadCtx& ctx, std::uint32_t t) {
+              return marks.exact_check(ctx, t, r.hood[t]);
+            }));
         break;
       case core::ConflictScheme::kTwoPhasePriority:
-        phases.push_back({[&](gpu::ThreadCtx& ctx) {
-          const std::uint32_t t = ctx.tid();
-          if (!active[t]) return;
-          if (marks.priority_check(ctx, t, hood[t])) {
-            owns[t] = 1;
-            apply(ctx, t);
-          } else {
-            ++round_aborted;
-          }
-        }, /*sequential=*/true});
+        phases.push_back({phase_race, /*sequential=*/false});
+        phases.push_back(check_then_commit(
+            [&](gpu::ThreadCtx& ctx, std::uint32_t t) {
+              return marks.priority_check(ctx, t, r.hood[t]);
+            }));
         break;
       case core::ConflictScheme::kThreePhase:
-        phases.push_back({[&](gpu::ThreadCtx& ctx) {
-          const std::uint32_t t = ctx.tid();
-          if (!active[t]) return;
-          owns[t] = marks.priority_check(ctx, t, hood[t]) ? 1 : 0;
-        }, /*sequential=*/false});
-        phases.push_back({[&](gpu::ThreadCtx& ctx) {
-          const std::uint32_t t = ctx.tid();
-          if (!active[t]) return;
-          if (owns[t] && marks.final_check(ctx, t, hood[t])) {
-            apply(ctx, t);
-          } else {
-            owns[t] = 0;
-            ++round_aborted;
-          }
-        }, /*sequential=*/true});
+        phases.push_back({phase_race, /*sequential=*/false});
+        phases.push_back(run.priority_phase(r));
+        phases.push_back(check_then_commit(
+            [&](gpu::ThreadCtx& ctx, std::uint32_t t) {
+              return r.owns[t] && marks.final_check(ctx, t, r.hood[t]);
+            }));
         break;
     }
-    dev.launch_phases(lc, std::span<const gpu::Phase>(phases), opts.barrier);
-    if (injected_livelock) marks.set_force_ties(false);
-    st.processed += round_processed;
-    st.aborted += round_aborted;
-
-    // Live-lock watchdog (Sec. 7.3 + docs/RESILIENCE.md): the 3-phase
-    // protocol only terminates with high probability, so no-progress rounds
-    // are tracked and escalated. The default thresholds escalate on the
-    // first fully aborted round — the historical fallback — and never give
-    // up; campaigns tighten them to exercise the whole ladder.
-    const auto action = watchdog.observe(round_processed > 0);
-    if (action == resilience::LivelockWatchdog::Action::kGiveUp &&
-        bad_count > 0) {
-      throw FaultError(watchdog.give_up_status("dmr::refine_gpu"));
-    }
-    if (action == resilience::LivelockWatchdog::Action::kEscalate &&
-        bad_count > 0) {
-      // Serialized priority arbitration: refine one bad triangle with a
-      // single-thread kernel — trivially tie-free. When the invariant gate
-      // is on, the mesh is checkpointed first and rolled back if the
-      // escalation corrupts it.
-      ++st.fallbacks;
-      std::optional<Mesh> checkpoint;
-      if (opts.validate_invariants) checkpoint = m;
-      dev.launch({1, 1, "dmr.escalate"}, [&](gpu::ThreadCtx& ctx) {
-        for (Tri t = 0; t < m.num_slots(); ++t) {
-          ctx.work(1);
-          if (m.is_deleted(t) || !m.is_bad(t)) continue;
-          Cavity c = build_refinement_cavity(m, t, opts.use_float);
-          ctx.work(c.steps);
-          std::int64_t bad_in_cavity = 0;
-          for (Tri d : c.tris) bad_in_cavity += m.is_bad(d) ? 1 : 0;
-          const RetriangulateResult res = retriangulate(
-              m, c, cb, opts.recycle ? &recycler : nullptr, nullptr);
-          if (opts.recycle) {
-            for (Tri d : c.tris) recycler.give(d);
-          }
-          bad_count += static_cast<std::int64_t>(res.new_bad) - bad_in_cavity;
-          ++st.processed;
-          break;
-        }
-      });
-      if (opts.validate_invariants) {
-        gate_mesh_invariants(m, checkpoint, "dmr::refine_gpu escalation");
-      }
-      if (injected_livelock) {
-        dev.note_recovery(
-            "livelock watchdog escalated to serialized arbitration");
-      }
-    } else if (injected_livelock) {
-      dev.note_recovery("retrying round after forced priority ties");
-    }
-  }
-  MORPH_CHECK_MSG(bad_count == 0, "refinement hit the round limit");
-  if (opts.validate_invariants) {
-    std::optional<Mesh> no_checkpoint;
-    gate_mesh_invariants(m, no_checkpoint, "dmr::refine_gpu result");
+    dev.launch_phases(r.lc, std::span<const gpu::Phase>(phases), opts.barrier);
+    run.end_round(r);
   }
 
   // Transfer of the refined mesh back to the host.
   dev.note_copy(m.num_slots() * (3 * sizeof(Vtx) + 3 * sizeof(Tri)) +
                 m.num_points() * 2 * sizeof(double));
-
-  st.final_triangles = m.num_live();
-  st.wall_seconds = timer.seconds();
-  st.modeled_cycles = dev.stats().modeled_cycles;
-  return st;
+  return run.finish();
 }
 
 RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
                                   const RefineOptions& opts) {
-  Timer timer;
-  RefineStats st;
-  const double cb = cos_of_deg(opts.min_angle_deg);
-  if (opts.layout_opt) m.compact_and_reorder();
-
-  std::int64_t bad_count =
-      static_cast<std::int64_t>(m.compute_all_bad(opts.min_angle_deg));
-  st.initial_bad = static_cast<std::uint64_t>(bad_count);
+  GpuRefinement run(m, dev, opts, "dmr::refine_gpu_datadriven");
+  core::MarkTable& marks = run.marks();
+  run.start(m.compute_all_bad(opts.min_angle_deg));
 
   // The centralized worklist. Sized generously; push failures fall back to
   // the next refill sweep. Attaching the device arms the overflow fault
@@ -487,7 +550,6 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
   // ShardedWorklist, partitioned so a block pops (and requeues to) its own
   // shards, and the centralized atomic index is off the hot path.
   const bool sharded = opts.queue == DataDrivenQueue::kSharded;
-  const bool local_queues = opts.queue == DataDrivenQueue::kLocal;
   const std::size_t wl_cap =
       std::max<std::size_t>(1u << 16, m.num_slots() * 4);
   gpu::GlobalWorklist<Tri> worklist(wl_cap, &dev);
@@ -513,58 +575,18 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
   };
   seed_worklist();
 
-  core::SlotRecycler recycler(opts.recycle ? 1u << 22 : 0u);
-  recycler.set_sanitizer(dev.sanitizer());
-  core::MarkTable marks(m.num_slots());
-  core::AdaptiveLauncher launcher(
-      opts.initial_tpb, 3,
-      std::clamp(static_cast<double>(m.num_slots()) /
-                     (16384.0 * dev.config().num_sms),
-                 3.0, 50.0));
+  while (run.more_rounds()) {
+    GpuRefinement::Round r = run.begin_round("dmr.refine.dd");
 
-  resilience::LivelockWatchdog watchdog(opts.watchdog_escalate_after,
-                                        opts.watchdog_give_up_after);
-
-  while (bad_count > 0 && st.rounds < opts.max_rounds) {
-    ++st.rounds;
-    const bool injected_livelock =
-        inject_livelock_round(dev, marks, st.rounds);
-    const std::uint64_t nslots = m.num_slots();
-    gpu::LaunchConfig lc = launcher.next(dev.config());
-    lc.label = "dmr.refine.dd";
-    const std::uint64_t T = lc.total_threads();
-    if (marks.size() < nslots) marks.resize(nslots + nslots / 2);
-    marks.reset();
-
-    std::vector<Cavity> cav(T);
-    std::vector<std::vector<Tri>> hood(T);
-    std::vector<Tri> cand(T, Mesh::kNone);
-    std::vector<std::uint8_t> owns(T, 0);
-    // Touched only in the sequential commit phase: plain counters.
-    std::uint64_t round_processed = 0, round_aborted = 0;
-
-    // Per-thread bounded queues for the requeue pushes (Sec. 7.5): a full —
-    // or fault-injected — local queue spills to the centralized list
-    // instead of dropping the item. Drained back into the global list after
-    // the launch (local queues are per-round temporaries here).
-    std::vector<gpu::LocalWorklist<Tri>> locals;
-    if (local_queues) {
-      locals.reserve(T);
-      for (std::uint64_t t = 0; t < T; ++t) {
-        locals.emplace_back(opts.local_queue_cap);
-        locals.back().set_spill_target(&worklist, &dev);
-      }
-    }
     // Requeue a triangle for a later round; Status intentionally dropped on
     // a full list — the refill sweep below re-discovers lost work. Sharded:
     // new work targets the committing block's own shard (pseudo-partition
     // locality); a full shard spills to the centralized list and is drained
     // back by the post-launch rebalance.
-    auto requeue = [&](gpu::ThreadCtx& ctx, std::uint32_t t, Tri v) {
+    auto requeue = [&](gpu::ThreadCtx& ctx, Tri v) {
       if (sharded) {
-        (void)shards->push(ctx, shards->home_shard(ctx.block(), lc.blocks), v);
-      } else if (local_queues) {
-        (void)locals[t].push(ctx, v);
+        (void)shards->push(ctx, shards->home_shard(ctx.block(), r.lc.blocks),
+                           v);
       } else {
         (void)worklist.push(ctx, v);
       }
@@ -582,74 +604,43 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
           const std::uint32_t t = ctx.tid();
           // Pop until a live bad triangle appears (stale ids are skipped).
           for (;;) {
-            const auto popped =
-                sharded ? shards->pop_owned(ctx, lc.blocks) : worklist.pop(ctx);
+            const auto popped = sharded ? shards->pop_owned(ctx, r.lc.blocks)
+                                        : worklist.pop(ctx);
             if (!popped) return;
             const Tri x = *popped;
             ctx.work(1);
             if (x < m.num_slots() && !m.is_deleted(x) && m.is_bad(x)) {
-              cand[t] = x;
+              r.cand[t] = x;
               break;
             }
           }
-          cav[t] = build_refinement_cavity(m, cand[t], opts.use_float);
-          ctx.work(opts.use_float ? cav[t].steps / 2 : cav[t].steps);
-          hood[t] = cav[t].neighborhood(m);
-          charge_locality(ctx, cand[t], hood[t]);
-          marks.race_mark(ctx, t, hood[t]);
+          r.cav[t] = build_refinement_cavity(m, r.cand[t], opts.use_float);
+          ctx.work(opts.use_float ? r.cav[t].steps / 2 : r.cav[t].steps);
+          r.hood[t] = r.cav[t].neighborhood(m);
+          charge_locality(ctx, r.cand[t], r.hood[t]);
+          marks.race_mark(ctx, t, r.hood[t]);
         }, /*sequential=*/false},
-        {[&](gpu::ThreadCtx& ctx) {
-          const std::uint32_t t = ctx.tid();
-          if (cand[t] == Mesh::kNone) return;
-          owns[t] = marks.priority_check(ctx, t, hood[t]) ? 1 : 0;
-        }, /*sequential=*/false},
+        run.priority_phase(r),
         // Commit: mesh mutation and requeue pushes, in ascending thread
-        // order on one host thread (see the topology-driven driver).
+        // order on one host thread (see GpuRefinement::commit).
         {[&](gpu::ThreadCtx& ctx) {
           const std::uint32_t t = ctx.tid();
-          if (cand[t] == Mesh::kNone) return;
-          if (owns[t] && marks.final_check(ctx, t, hood[t])) {
-            if (analysis::Sanitizer* s = ctx.san()) {
-              s->on_guarded_write(&marks, ctx.block(), t, hood[t]);
+          if (r.cand[t] == Mesh::kNone) return;
+          if (r.owns[t] && marks.final_check(ctx, t, r.hood[t])) {
+            for (Tri a : run.commit(ctx, r, t)) {
+              if (m.is_bad(a)) requeue(ctx, a);
             }
-            std::int64_t bad_in_cavity = 0;
-            for (Tri d : cav[t].tris) bad_in_cavity += m.is_bad(d) ? 1 : 0;
-            std::vector<Tri> added;
-            const RetriangulateResult res = retriangulate(
-                m, cav[t], cb, opts.recycle ? &recycler : nullptr, &added);
-            ctx.work(cav[t].tris.size() + added.size());
-            if (opts.recycle) {
-              for (Tri d : cav[t].tris) recycler.give(d);
+            if (!m.is_deleted(r.cand[t]) && m.is_bad(r.cand[t])) {
+              requeue(ctx, r.cand[t]);  // segment-split leftovers
             }
-            for (Tri a : added) {
-              if (m.is_bad(a)) requeue(ctx, t, a);
-            }
-            if (!m.is_deleted(cand[t]) && m.is_bad(cand[t])) {
-              requeue(ctx, t, cand[t]);  // segment-split leftovers
-            }
-            bad_count += static_cast<std::int64_t>(res.new_bad) -
-                         bad_in_cavity;
-            ++round_processed;
           } else {
-            requeue(ctx, t, cand[t]);  // aborted: requeue
-            ++round_aborted;
+            requeue(ctx, r.cand[t]);  // aborted: requeue
+            ++r.aborted;
           }
         }, /*sequential=*/true},
     };
-    dev.launch_phases(lc, phases, opts.barrier);
-    if (injected_livelock) marks.set_force_ties(false);
-    st.processed += round_processed;
-    st.aborted += round_aborted;
+    dev.launch_phases(r.lc, phases, opts.barrier);
 
-    // Hand leftover local-queue items back to the centralized list (they
-    // are per-round temporaries; anything that does not fit is recovered by
-    // the refill sweep).
-    if (local_queues) {
-      gpu::ThreadCtx drain_ctx;
-      for (auto& lq : locals) {
-        while (auto v = lq.pop()) (void)worklist.push(drain_ctx, *v);
-      }
-    }
     // Sharded: the deterministic steal. Spilled items are drained back from
     // the centralized list and starved shards are fed from rich ones, all
     // host-side in shard order, so the redistribution (and its steal/spill
@@ -665,68 +656,19 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
     // work is ever lost, because every still-bad triangle is rediscovered
     // from the mesh itself.
     const std::size_t wl_remaining =
-        (sharded ? shards->size() : worklist.size()) +
-        (sharded ? worklist.size() : 0);
-    if (bad_count > 0 && wl_remaining == 0) {
+        worklist.size() + (sharded ? shards->size() : 0);
+    if (run.bad_count() > 0 && wl_remaining == 0) {
       worklist.reset();
       if (sharded) shards->reset();
       seed_worklist();
-      ++st.fallbacks;
+      ++run.stats().fallbacks;
       if (dev.faults_armed()) {
         dev.note_recovery("worklist refill sweep rediscovered bad triangles");
       }
     }
-    // Live-lock watchdog, as in the topology-driven driver.
-    const auto action = watchdog.observe(round_processed > 0);
-    if (action == resilience::LivelockWatchdog::Action::kGiveUp &&
-        bad_count > 0) {
-      throw FaultError(watchdog.give_up_status("dmr::refine_gpu_datadriven"));
-    }
-    if (action == resilience::LivelockWatchdog::Action::kEscalate &&
-        bad_count > 0) {
-      ++st.fallbacks;
-      std::optional<Mesh> checkpoint;
-      if (opts.validate_invariants) checkpoint = m;
-      dev.launch({1, 1, "dmr.escalate"}, [&](gpu::ThreadCtx& ctx) {
-        for (Tri t = 0; t < m.num_slots(); ++t) {
-          ctx.work(1);
-          if (m.is_deleted(t) || !m.is_bad(t)) continue;
-          Cavity c = build_refinement_cavity(m, t, opts.use_float);
-          std::int64_t bad_in_cavity = 0;
-          for (Tri d : c.tris) bad_in_cavity += m.is_bad(d) ? 1 : 0;
-          const RetriangulateResult res = retriangulate(
-              m, c, cb, opts.recycle ? &recycler : nullptr, nullptr);
-          if (opts.recycle) {
-            for (Tri d : c.tris) recycler.give(d);
-          }
-          bad_count += static_cast<std::int64_t>(res.new_bad) - bad_in_cavity;
-          ++st.processed;
-          break;
-        }
-      });
-      if (opts.validate_invariants) {
-        gate_mesh_invariants(m, checkpoint,
-                             "dmr::refine_gpu_datadriven escalation");
-      }
-      if (injected_livelock) {
-        dev.note_recovery(
-            "livelock watchdog escalated to serialized arbitration");
-      }
-    } else if (injected_livelock) {
-      dev.note_recovery("retrying round after forced priority ties");
-    }
+    run.end_round(r);
   }
-  MORPH_CHECK_MSG(bad_count == 0, "data-driven refinement stalled");
-  if (opts.validate_invariants) {
-    std::optional<Mesh> no_checkpoint;
-    gate_mesh_invariants(m, no_checkpoint,
-                         "dmr::refine_gpu_datadriven result");
-  }
-
-  st.final_triangles = m.num_live();
-  st.wall_seconds = timer.seconds();
-  st.modeled_cycles = dev.stats().modeled_cycles;
-  return st;
+  return run.finish();
 }
 
 }  // namespace morph::dmr

@@ -27,9 +27,6 @@ enum class DataDrivenQueue {
   /// One GlobalWorklist: every push and pop is an atomic index claim. The
   /// paper's centralized-queue baseline.
   kCentral,
-  /// Requeues go to bounded per-thread local queues that spill to the
-  /// central list (the Sec. 7.5 fallback ladder); pops stay central.
-  kLocal,
   /// A ShardedWorklist of 4 shards per SM, seeded by pseudo-partition: a
   /// block pops from and requeues to the shards it owns, the host steals
   /// between launches, and the central list is only the spill target. The
@@ -40,7 +37,10 @@ enum class DataDrivenQueue {
 struct RefineOptions {
   double min_angle_deg = 30.0;
 
-  // GPU-implementation toggles (Fig. 8 ablation arms).
+  // GPU-implementation toggles (Fig. 8 ablation arms). `scheme`,
+  // `divergence_sort` and `prealloc` apply to refine_gpu only: the
+  // data-driven driver always runs the 3-phase protocol on popped
+  // triangles and models no memory reservation.
   core::ConflictScheme scheme = core::ConflictScheme::kThreePhase;
   gpu::BarrierKind barrier = gpu::BarrierKind::kHierarchical;
   bool layout_opt = true;       ///< BFS-reorder the mesh first (Sec. 6.1)
@@ -50,15 +50,10 @@ struct RefineOptions {
   bool recycle = true;          ///< reuse deleted slots (Sec. 7.2 Recycle)
   bool prealloc = false;        ///< pre-allocate max storage vs on-demand
 
-  std::uint32_t initial_tpb = 64;  ///< paper: DMR starts at 64 and doubles
   /// Static threads-per-block used when `adaptive` is off. A fixed
   /// configuration must be provisioned for the peak parallelism, which is
   /// exactly what the adaptive scheme avoids early on (Sec. 7.4).
   std::uint32_t fixed_tpb = 512;
-  /// Blocks per SM; <= 0 selects automatically from the input size
-  /// (proportional, clamped to the paper's 3x..50x SM range).
-  double sm_factor = 0.0;
-  std::uint64_t max_rounds = 1u << 20;
 
   // --- resilience (docs/RESILIENCE.md) ---
 
@@ -79,8 +74,6 @@ struct RefineOptions {
 
   /// Data-driven driver only: how bad triangles are dispensed (Sec. 7.5).
   DataDrivenQueue queue = DataDrivenQueue::kCentral;
-  /// Capacity of each per-thread queue under DataDrivenQueue::kLocal.
-  std::size_t local_queue_cap = 16;
 };
 
 struct RefineStats {

@@ -66,8 +66,6 @@ struct DeviceConfig {
   /// scale: it never feeds back into the cost model.
   double clock_ghz = 1.0;
 
-  std::uint64_t shared_mem_bytes = 48 * 1024;  ///< per block (48 KB config)
-
   /// Number of host worker threads used to execute blocks. 0 means "auto":
   /// one worker per hardware thread (std::thread::hardware_concurrency).
   /// Modeled statistics are reduced per block in block order, so KernelStats
@@ -105,11 +103,6 @@ struct DeviceConfig {
   /// attempt charges the wasted launch overhead plus an exponentially
   /// growing modeled-cycle backoff; exhausting it throws morph::FaultError.
   resilience::RetryPolicy launch_retry = {};
-
-  /// Modeled-cycle cost of one injected barrier stall, as a multiple of the
-  /// stalled barrier's own cost (the watchdog timeout a real runtime would
-  /// burn before releasing the barrier).
-  double barrier_stall_factor = 8.0;
 
   /// Injected barrier stalls tolerated within a single launch before the
   /// barrier is declared hung and the launch fails loudly with

@@ -11,6 +11,11 @@ namespace morph::gpu {
 
 namespace {
 
+/// Modeled-cycle cost of one injected barrier stall, as a multiple of the
+/// stalled barrier's own cost (the watchdog timeout a real runtime would
+/// burn before releasing the barrier).
+constexpr double kBarrierStallFactor = 8.0;
+
 std::uint32_t resolve_host_workers(std::uint32_t requested) {
   if (requested != 0) return requested;
   const unsigned hc = std::thread::hardware_concurrency();
@@ -295,12 +300,12 @@ KernelStats Device::launch_phases(const LaunchConfig& lc,
     }
 
     // Injected barrier stall: one barrier crossing burns the watchdog
-    // timeout (barrier_stall_factor x its own cost) before the runtime
+    // timeout (kBarrierStallFactor x its own cost) before the runtime
     // releases it. Checked per crossing so opportunity counting matches the
     // number of barriers a campaign can target.
     if (injector_ && pi + 1 < phases.size() &&
         injector_->should_fire(resilience::FaultClass::kBarrierStall)) {
-      const double extra = barrier_cost * cfg_.barrier_stall_factor;
+      const double extra = barrier_cost * kBarrierStallFactor;
       stall_cycles += extra;
       note_fault(resilience::FaultClass::kBarrierStall,
                  "barrier stall after phase " + std::to_string(pi));

@@ -1,11 +1,11 @@
 // Worklists (paper Sec. 7.5).
 //
 // A centralized GlobalWorklist requires an atomic index per push/pop, which
-// the paper identifies as a bottleneck; a LocalWorklist is a fixed-capacity
-// per-thread queue that lives in (simulated) shared memory and needs no
-// synchronization. The pseudo-partitioning produced by the memory-layout
-// optimization (Mesh::compact_and_reorder) makes a thread's new work likely
-// to land in its own local queue.
+// the paper identifies as a bottleneck; a ShardedWorklist splits the work
+// into per-block shard rings that only their owning block pops, with the
+// centralized list demoted to the spill target. The pseudo-partitioning
+// produced by the memory-layout optimization (Mesh::compact_and_reorder)
+// makes a block's new work likely to land in its own shards.
 //
 // GlobalWorklist is safe for concurrent push/pop from any number of host
 // threads (block-parallel execution, DeviceConfig::host_workers > 1). Index
@@ -26,81 +26,6 @@
 #include "support/status.hpp"
 
 namespace morph::gpu {
-
-template <typename T>
-class GlobalWorklist;
-
-/// Per-thread queue with bounded capacity (shared-memory budget). push()
-/// returns false on overflow and counts the spill; callers fall back to the
-/// global list or to the next topology-driven sweep — or, when a spill
-/// target is attached (set_spill_target), the overflowing item is pushed to
-/// the global worklist instead of being dropped, the graceful-degradation
-/// ladder for local-worklist overflow. Not thread-safe: a local worklist
-/// belongs to exactly one logical thread.
-template <typename T>
-class LocalWorklist {
- public:
-  explicit LocalWorklist(std::size_t capacity) : cap_(capacity) {
-    items_.reserve(capacity);
-  }
-
-  std::size_t capacity() const { return cap_; }
-  std::size_t size() const { return items_.size() - head_; }
-  bool empty() const { return size() == 0; }
-  std::uint64_t spills() const { return spills_; }
-  std::uint64_t spilled_to_global() const { return spilled_to_global_; }
-
-  /// Arms the overflow ladder: items that do not fit locally go to `global`
-  /// (the push is charged to the spilling thread). `dev` additionally lets
-  /// an armed fault campaign force overflow at any push opportunity
-  /// (FaultClass::kLocalWlOverflow).
-  void set_spill_target(GlobalWorklist<T>* global, Device* dev = nullptr) {
-    spill_ = global;
-    dev_ = dev;
-  }
-
-  bool push(const T& v) {
-    // Capacity bounds the number of *live* items, not the number of slots
-    // ever written: popped entries are reclaimed by compacting the consumed
-    // prefix, so pop/push cycles never cause spurious spills.
-    if (size() >= cap_) {
-      ++spills_;
-      return false;
-    }
-    if (items_.size() >= cap_) {
-      items_.erase(items_.begin(),
-                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
-      head_ = 0;
-    }
-    items_.push_back(v);
-    return true;
-  }
-
-  /// Push with the overflow ladder: a full queue (or an injected overflow)
-  /// spills to the attached global worklist instead of dropping the item.
-  /// Returns kWorklistFull only when the item was truly dropped (no spill
-  /// target, or the global list is itself full).
-  Status push(ThreadCtx& ctx, const T& v);
-
-  std::optional<T> pop() {
-    if (empty()) return std::nullopt;
-    return items_[head_++];
-  }
-
-  void clear() {
-    items_.clear();
-    head_ = 0;
-  }
-
- private:
-  std::size_t cap_;
-  std::size_t head_ = 0;
-  std::vector<T> items_;
-  std::uint64_t spills_ = 0;
-  std::uint64_t spilled_to_global_ = 0;
-  GlobalWorklist<T>* spill_ = nullptr;
-  Device* dev_ = nullptr;
-};
 
 /// Centralized worklist; every push/pop is an atomic index claim charged to
 /// the calling thread. Fixed capacity chosen at construction.
@@ -533,31 +458,5 @@ class ShardedWorklist {
   std::uint64_t reported_steals_ = 0;  ///< host-side (rebalance) only
   std::uint64_t reported_spills_ = 0;
 };
-
-template <typename T>
-Status LocalWorklist<T>::push(ThreadCtx& ctx, const T& v) {
-  const bool injected =
-      dev_ && dev_->fault_should_fire(resilience::FaultClass::kLocalWlOverflow);
-  if (!injected && push(v)) return Status::Ok();
-  if (injected) {
-    ++spills_;
-    dev_->note_fault(resilience::FaultClass::kLocalWlOverflow,
-                     "local worklist overflow (injected), " +
-                         std::to_string(size()) + " items held");
-  }
-  if (!spill_) {
-    return Status(StatusCode::kWorklistFull,
-                  "local worklist full and no spill target attached");
-  }
-  // Degradation ladder: overflow goes to the centralized list (paper
-  // Sec. 7.5's fallback), costing the atomic the local queue exists to
-  // avoid.
-  Status s = spill_->try_push(ctx, v);
-  if (s.ok()) {
-    ++spilled_to_global_;
-    if (injected) dev_->note_recovery("local worklist spilled item to global");
-  }
-  return s;
-}
 
 }  // namespace morph::gpu

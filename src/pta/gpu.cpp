@@ -27,6 +27,10 @@ namespace morph::pta {
 
 namespace {
 
+/// Threads per block of the first adaptive launch (paper: PTA starts at 128
+/// and doubles).
+constexpr std::uint32_t kInitialTpb = 128;
+
 /// Per-node chunked neighbor list backed by device-heap chunks.
 ///
 /// Determinism contract (DESIGN.md §6.2): during a launch the *canonical*
@@ -236,7 +240,7 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
   for (const Constraint& c : addr) seeds[c.dst].push_back(c.src);
 
   core::AdaptiveLauncher launcher(
-      opts.initial_tpb, 3,
+      kInitialTpb, 3,
       std::clamp(n / (512.0 * dev.config().num_sms), 3.0, 50.0));
 
   // Phase 1 (init): seed points-to sets from address-of constraints.

@@ -30,7 +30,6 @@ struct PtaOptions {
   bool push_based = false;      ///< ablation: push (atomics) vs pull
   bool divergence_sort = true;  ///< pack enabled pointer nodes (Sec. 7.6)
   std::uint32_t chunk_elems = 1024;  ///< Kernel-Only chunk size (512..4096)
-  std::uint32_t initial_tpb = 128;   ///< paper: PTA starts at 128, doubles
   /// Pointer-representative table from offline cycle elimination
   /// (pta/cycle_elim.hpp): dynamically discovered edges route their
   /// pointer endpoint through it. Null = identity.

@@ -23,7 +23,6 @@ double uniform01(std::uint64_t& state) {
 std::optional<FaultClass> class_from_name(const std::string& name) {
   if (name == "arena") return FaultClass::kArenaExhaust;
   if (name == "globalwl") return FaultClass::kGlobalWlOverflow;
-  if (name == "localwl") return FaultClass::kLocalWlOverflow;
   if (name == "launch") return FaultClass::kLaunchFail;
   if (name == "barrier") return FaultClass::kBarrierStall;
   if (name == "livelock") return FaultClass::kLivelock;
@@ -53,7 +52,6 @@ const char* fault_class_name(FaultClass cls) {
   switch (cls) {
     case FaultClass::kArenaExhaust: return "arena";
     case FaultClass::kGlobalWlOverflow: return "globalwl";
-    case FaultClass::kLocalWlOverflow: return "localwl";
     case FaultClass::kLaunchFail: return "launch";
     case FaultClass::kBarrierStall: return "barrier";
     case FaultClass::kLivelock: return "livelock";
@@ -124,8 +122,8 @@ Status parse_fault_plan(const std::string& spec, std::uint64_t seed,
     auto cls = class_from_name(rest);
     if (!cls)
       return bad_spec(clause, "unknown fault class '" + rest +
-                                  "' (expected arena|globalwl|localwl|"
-                                  "launch|barrier|livelock|journal)");
+                                  "' (expected arena|globalwl|launch|"
+                                  "barrier|livelock|journal)");
     fc.cls = *cls;
     plan.clauses.push_back(fc);
   }
@@ -139,7 +137,7 @@ Status parse_fault_plan(const std::string& spec, std::uint64_t seed,
 FaultInjector::FaultInjector(const FaultPlan& plan) : plan_(plan) {
   // Independent, deterministic PRNG stream per class: identical campaigns
   // replay identically regardless of which classes other clauses touch.
-  for (std::size_t c = 0; c < kNumFaultClasses; ++c) {
+  for (std::size_t c = 0; c < kFaultClassSlots; ++c) {
     std::uint64_t s = plan_.seed;
     (void)splitmix64(s);
     rng_[c] = s + 0x632be59bd9b4e019ull * (c + 1);

@@ -15,8 +15,7 @@
 // Spec grammar (comma-separated clauses):
 //
 //   clause  := class [ '@' after ] [ 'x' count ] [ '~' prob ]
-//   class   := arena | globalwl | localwl | launch | barrier | livelock
-//            | journal
+//   class   := arena | globalwl | launch | barrier | livelock | journal
 //
 //   after   — 1-based opportunity index of the first firing (default 1)
 //   count   — number of consecutive opportunities that fire (default 1)
@@ -39,18 +38,21 @@
 
 namespace morph::resilience {
 
-/// The injectable failure classes (ISSUE 4 tentpole list).
+/// The injectable failure classes. A class's ordinal keys its PRNG stream
+/// (FaultInjector), so ordinals are part of the replay contract and are
+/// never renumbered: ordinal 2 belonged to a retired class and stays unused,
+/// and a new class takes the next free ordinal.
 enum class FaultClass : std::uint8_t {
-  kArenaExhaust = 0,     ///< device-malloc arena exhaustion (DeviceHeap)
-  kGlobalWlOverflow,     ///< global worklist push finds it full
-  kLocalWlOverflow,      ///< per-thread local worklist overflows
-  kLaunchFail,           ///< transient kernel-launch failure
-  kBarrierStall,         ///< one intra-kernel global barrier stalls
-  kLivelock,             ///< conflict resolution: repeated priority ties
-  kJournalTorn,          ///< serve WAL append crashes mid-record (torn write)
+  kArenaExhaust = 0,      ///< device-malloc arena exhaustion (DeviceHeap)
+  kGlobalWlOverflow = 1,  ///< global worklist push finds it full
+  kLaunchFail = 3,        ///< transient kernel-launch failure
+  kBarrierStall = 4,      ///< one intra-kernel global barrier stalls
+  kLivelock = 5,          ///< conflict resolution: repeated priority ties
+  kJournalTorn = 6,       ///< serve WAL append crashes mid-record (torn write)
 };
 
-inline constexpr std::size_t kNumFaultClasses = 7;
+/// One past the largest FaultClass ordinal: the injector's per-class arrays.
+inline constexpr std::size_t kFaultClassSlots = 7;
 
 const char* fault_class_name(FaultClass cls);
 
@@ -106,9 +108,9 @@ class FaultInjector {
 
  private:
   FaultPlan plan_;
-  std::array<std::uint64_t, kNumFaultClasses> seen_{};
-  std::array<std::uint64_t, kNumFaultClasses> fired_{};
-  std::array<std::uint64_t, kNumFaultClasses> rng_{};  ///< splitmix64 states
+  std::array<std::uint64_t, kFaultClassSlots> seen_{};
+  std::array<std::uint64_t, kFaultClassSlots> fired_{};
+  std::array<std::uint64_t, kFaultClassSlots> rng_{};  ///< splitmix64 states
 };
 
 // --- CLI plumbing (bench harness + examples) -------------------------------

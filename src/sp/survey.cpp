@@ -14,6 +14,10 @@ namespace morph::sp {
 namespace {
 
 constexpr double kTinySurvivor = 1e-12;
+/// Below this maximum bias the surveys are trivial: hand off to WalkSAT.
+constexpr double kTrivialBias = 0.02;
+/// WalkSAT noise: probability of a random (not greedy) flip.
+constexpr double kWalksatNoise = 0.5;
 
 /// Products over literal j's alive edges other than `self`, split by
 /// occurrence sign *relative to* `sgn` (j's sign in the clause being
@@ -278,7 +282,7 @@ std::uint64_t walksat_residual(FactorGraph& g, const SpOptions& opts,
       }
       MORPH_CHECK(ncand > 0);
       Lit pick;
-      if (rng.next_bool(opts.walksat_p)) {
+      if (rng.next_bool(kWalksatNoise)) {
         pick = cand[rng.next_below(ncand)];
       } else {
         std::uint32_t best = ~0u;
@@ -344,7 +348,7 @@ SpResult run_schedule(FactorGraph& g, const SpOptions& opts,
       order.push_back(i);
       max_bias = std::max(max_bias, bias_mag[i]);
     }
-    if (order.size() <= opts.endgame_lits || max_bias < opts.trivial_bias) {
+    if (order.size() <= opts.endgame_lits || max_bias < kTrivialBias) {
       break;  // trivial surveys or small enough: WalkSAT endgame
     }
     const std::size_t nfix = std::max<std::size_t>(

@@ -27,13 +27,11 @@ struct SpOptions {
   double eps = 1e-3;              ///< survey convergence threshold
   std::uint32_t max_sweeps = 300; ///< per decimation phase
   double decimate_frac = 0.01;    ///< fraction of literals fixed per phase
-  double trivial_bias = 0.02;     ///< below this max bias, surveys are trivial
   std::uint32_t endgame_lits = 64;      ///< hand to WalkSAT below this
   /// WalkSAT endgame flip budget. 0 scales it with the residual size:
   /// max(2'000'000, 4000 x unfixed vars). Any other value is the exact
   /// budget (benches measuring only the survey iteration pass 1).
   std::uint64_t walksat_flips = 0;
-  double walksat_p = 0.5;
   std::uint32_t max_phases = 1u << 20;
   bool cache_products = true;     ///< the edge-caching optimization
   std::uint64_t work_budget = ~0ull;  ///< counted ops before declaring OOT

@@ -9,6 +9,7 @@
 #include "dmr/mesh.hpp"
 #include "dmr/refine.hpp"
 #include "support/rng.hpp"
+#include "telemetry/trace.hpp"
 
 namespace morph::dmr {
 namespace {
@@ -364,6 +365,26 @@ TEST(RefineGpuDataDriven, EliminatesAllBadTriangles) {
   EXPECT_TRUE(is_delaunay(m));
   EXPECT_GT(dev.stats().atomics, 1000u)
       << "the centralized worklist must pay atomics";
+}
+
+TEST(RefineGpuDataDriven, FixedConfigLaunchesFixedThreadsPerBlock) {
+  // With `adaptive` off, both drivers take their geometry from `fixed_tpb`.
+  Mesh m = generate_input_mesh(600, 25);
+  telemetry::TraceSink sink;
+  gpu::Device dev(gpu::DeviceConfig{.host_workers = 1, .trace = &sink});
+  RefineOptions opts;
+  opts.adaptive = false;
+  opts.fixed_tpb = 96;
+  refine_gpu_datadriven(m, dev, opts);
+  expect_refined(m, "gpu data-driven, fixed config");
+  std::uint64_t refine_launches = 0;
+  for (const telemetry::TraceEvent& ev : sink.merged()) {
+    if (ev.kind != telemetry::EventKind::kLaunch) continue;
+    if (ev.name == "launch 1x1") continue;  // serialized-arbitration escalation
+    ++refine_launches;
+    EXPECT_TRUE(ev.name.ends_with("x96")) << ev.name;
+  }
+  EXPECT_GT(refine_launches, 0u);
 }
 
 TEST(RefineGpuDataDriven, CostsMoreAtomicsThanTopologyDriven) {

@@ -272,21 +272,6 @@ TEST(DeviceHeap, RejectsForeignChunkSize) {
   EXPECT_THROW(heap.free_chunk(std::span<int>(local, 4)), CheckError);
 }
 
-TEST(LocalWorklist, FifoAndSpillCounting) {
-  LocalWorklist<int> wl(3);
-  EXPECT_TRUE(wl.push(1));
-  EXPECT_TRUE(wl.push(2));
-  EXPECT_TRUE(wl.push(3));
-  EXPECT_FALSE(wl.push(4));
-  EXPECT_EQ(wl.spills(), 1u);
-  EXPECT_EQ(wl.pop().value(), 1);
-  EXPECT_EQ(wl.pop().value(), 2);
-  EXPECT_EQ(wl.size(), 1u);
-  wl.clear();
-  EXPECT_TRUE(wl.empty());
-  EXPECT_FALSE(wl.pop().has_value());
-}
-
 TEST(GlobalWorklist, PushPopChargesAtomics) {
   Device dev;
   GlobalWorklist<int> wl(8);
@@ -390,21 +375,6 @@ TEST(GlobalWorklist, ResetRestoresInvariant) {
   EXPECT_FALSE(wl.pop(ctx).has_value());
   EXPECT_TRUE(wl.push(ctx, 10));
   EXPECT_EQ(wl.pop(ctx).value(), 10);
-}
-
-TEST(LocalWorklist, PushAfterPopsReusesCapacity) {
-  // Regression: the capacity check used to count already-popped items, so a
-  // worklist cycling through push/pop reported spurious spills.
-  LocalWorklist<int> wl(2);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(wl.push(i)) << "spurious spill at " << i;
-    EXPECT_EQ(wl.pop().value(), i);
-  }
-  EXPECT_EQ(wl.spills(), 0u);
-  EXPECT_TRUE(wl.push(100));
-  EXPECT_TRUE(wl.push(101));
-  EXPECT_FALSE(wl.push(102));  // genuinely full: 2 live items
-  EXPECT_EQ(wl.spills(), 1u);
 }
 
 TEST(ShardedWorklist, OwnedRangesPartitionTheShards) {

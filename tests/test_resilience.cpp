@@ -93,7 +93,7 @@ TEST(FaultSpec, RejectsMalformedClauses) {
   FaultPlan plan;
   for (const char* spec :
        {"", "bogus", "arena@0", "arena@", "arenax0", "arena~0", "arena~1.5",
-        "arena~zz", "arena,,launch", "arena@2x"}) {
+        "arena~zz", "arena,,launch", "arena@2x", "localwl"}) {
     const Status s = resilience::parse_fault_plan(spec, 1, &plan);
     EXPECT_EQ(s.code(), StatusCode::kBadFaultSpec) << "spec: " << spec;
   }
@@ -128,6 +128,26 @@ TEST(FaultInjector, ProbabilisticClausesReplayWithSameSeed) {
   // A fair-ish coin over 200 draws: not all-or-nothing.
   EXPECT_GT(fired, 0u);
   EXPECT_LT(fired, 200u);
+}
+
+TEST(FaultInjector, ClassStreamsArePinnedToTheirOrdinals) {
+  // Each class draws from a PRNG stream keyed by its enum ordinal, so
+  // retiring or adding a class must not shift another class's campaign.
+  // Bit i is the (i+1)-th opportunity; the patterns are pinned recordings.
+  const std::tuple<const char*, FaultClass, std::uint64_t> cases[] = {
+      {"launch@1x64~0.5", FaultClass::kLaunchFail, 0xca9da9535aac78c3ull},
+      {"barrier@1x64~0.5", FaultClass::kBarrierStall, 0x47a2cf899efd18baull},
+      {"livelock@1x64~0.5", FaultClass::kLivelock, 0xa025ab9ca39e1b93ull},
+      {"journal@1x64~0.5", FaultClass::kJournalTorn, 0xea7ad95b099ab76bull},
+  };
+  for (const auto& [spec, cls, pinned] : cases) {
+    FaultInjector inj(plan_of(spec, 7));
+    std::uint64_t bits = 0;
+    for (int i = 0; i < 64; ++i) {
+      if (inj.should_fire(cls)) bits |= std::uint64_t{1} << i;
+    }
+    EXPECT_EQ(bits, pinned) << spec;
+  }
 }
 
 // --- device: launch retry ladder -------------------------------------------
@@ -298,33 +318,6 @@ TEST(WorklistFaults, InjectedGlobalOverflowFires) {
   EXPECT_EQ(wl.size(), 2u);
 }
 
-TEST(WorklistFaults, LocalOverflowSpillsToGlobal) {
-  const FaultPlan plan = plan_of("localwl@2");
-  gpu::Device dev(gpu::DeviceConfig{.host_workers = 1, .faults = &plan});
-  gpu::ThreadCtx ctx;
-  gpu::GlobalWorklist<int> global(64, &dev);
-  gpu::LocalWorklist<int> local(1);
-  local.set_spill_target(&global, &dev);
-
-  EXPECT_TRUE(local.push(ctx, 1).ok());   // fits locally
-  EXPECT_TRUE(local.push(ctx, 2).ok());   // injected overflow -> spilled
-  EXPECT_TRUE(local.push(ctx, 3).ok());   // capacity overflow -> spilled
-  EXPECT_EQ(local.spilled_to_global(), 2u);
-  EXPECT_EQ(global.size(), 2u);
-  EXPECT_EQ(dev.stats().faults_injected, 1u);
-  EXPECT_GE(dev.stats().faults_recovered, 1u);
-}
-
-TEST(WorklistFaults, LocalOverflowWithoutSpillTargetIsLoud) {
-  gpu::Device dev(gpu::DeviceConfig{.host_workers = 1});
-  gpu::ThreadCtx ctx;
-  gpu::LocalWorklist<int> local(1);
-  EXPECT_TRUE(local.push(ctx, 1).ok());
-  const Status s = local.push(ctx, 2);
-  EXPECT_EQ(s.code(), StatusCode::kWorklistFull);
-  EXPECT_THROW(throw_if_error(s), FaultError);
-}
-
 // --- app matrix: PTA (arena class) -----------------------------------------
 
 TEST(AppFaults, PtaArenaInjectionRecoversToSameSolution) {
@@ -445,23 +438,27 @@ TEST(AppFaults, DmrLaunchFailureRecoversToIdenticalMesh) {
 }
 
 TEST(AppFaults, DmrLivelockEscalatesAndStaysValid) {
-  dmr::Mesh m = dmr::generate_input_mesh(300, 1);
-  dmr::RefineOptions opts;
-  opts.adaptive = false;
-  opts.fixed_tpb = 128;
-  opts.watchdog_escalate_after = 1;
-  opts.validate_invariants = true;  // checkpoint + gate each escalation
+  // Both GPU drivers share the escalation and its invariant gate.
+  for (const auto refine : {&dmr::refine_gpu, &dmr::refine_gpu_datadriven}) {
+    SCOPED_TRACE(refine == &dmr::refine_gpu ? "topology" : "data-driven");
+    dmr::Mesh m = dmr::generate_input_mesh(300, 1);
+    dmr::RefineOptions opts;
+    opts.adaptive = false;
+    opts.fixed_tpb = 128;
+    opts.watchdog_escalate_after = 1;
+    opts.validate_invariants = true;  // checkpoint + gate each escalation
 
-  const FaultPlan plan = plan_of("livelock@1x2");
-  gpu::Device dev(gpu::DeviceConfig{.host_workers = 1, .faults = &plan});
-  const dmr::RefineStats st = dmr::refine_gpu(m, dev, opts);
+    const FaultPlan plan = plan_of("livelock@1x2");
+    gpu::Device dev(gpu::DeviceConfig{.host_workers = 1, .faults = &plan});
+    const dmr::RefineStats st = refine(m, dev, opts);
 
-  EXPECT_GE(st.fallbacks, 1u);  // forced ties -> serialized arbitration
-  EXPECT_EQ(m.compute_all_bad(opts.min_angle_deg), 0u);
-  std::string why;
-  EXPECT_TRUE(m.validate(&why)) << why;
-  EXPECT_EQ(dev.stats().faults_injected, 2u);
-  EXPECT_GE(dev.stats().faults_recovered, 1u);
+    EXPECT_GE(st.fallbacks, 1u);  // forced ties -> serialized arbitration
+    EXPECT_EQ(m.compute_all_bad(opts.min_angle_deg), 0u);
+    std::string why;
+    EXPECT_TRUE(m.validate(&why)) << why;
+    EXPECT_EQ(dev.stats().faults_injected, 2u);
+    EXPECT_GE(dev.stats().faults_recovered, 1u);
+  }
 }
 
 TEST(AppFaults, DmrLivelockWatchdogGivesUpLoudly) {
@@ -479,25 +476,6 @@ TEST(AppFaults, DmrLivelockWatchdogGivesUpLoudly) {
   } catch (const FaultError& e) {
     EXPECT_EQ(e.code(), StatusCode::kLivelock);
   }
-}
-
-TEST(AppFaults, DmrDataDrivenLocalSpillStillRefines) {
-  dmr::Mesh m = dmr::generate_input_mesh(300, 1);
-  dmr::RefineOptions opts;
-  opts.adaptive = false;
-  opts.fixed_tpb = 128;
-  opts.queue = dmr::DataDrivenQueue::kLocal;
-  opts.local_queue_cap = 2;  // tiny: capacity spills on top of injected ones
-
-  const FaultPlan plan = plan_of("localwl@1x8");
-  gpu::Device dev(gpu::DeviceConfig{.host_workers = 1, .faults = &plan});
-  dmr::refine_gpu_datadriven(m, dev, opts);
-
-  EXPECT_EQ(m.compute_all_bad(opts.min_angle_deg), 0u);
-  std::string why;
-  EXPECT_TRUE(m.validate(&why)) << why;
-  EXPECT_EQ(dev.stats().faults_injected, 8u);
-  EXPECT_GE(dev.stats().faults_recovered, 1u);
 }
 
 TEST(AppFaults, DmrDataDrivenGlobalOverflowStillRefines) {
