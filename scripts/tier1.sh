@@ -221,10 +221,13 @@ else
 fi
 
 if echo 'int main(){return 0;}' | g++ -x c++ -fsanitize=address,undefined - -o /dev/null 2>/dev/null; then
-  echo "== tier 1: ASan+UBSan build (simulator suite + one bench) =="
+  echo "== tier 1: ASan+UBSan build (simulator suite, serve parser, one bench) =="
   cmake -B "$ASAN_BUILD" -S . -DMORPH_ASAN=ON -DMORPH_UBSAN=ON
-  cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_gpu test_sancheck fig6_dmr_runtime
-  ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS" -R 'test_gpu|Sanitize|Seeded|CleanApps|Reporting'
+  cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_gpu test_sancheck test_serve fig6_dmr_runtime
+  # JobModel|Protocol|MalformedFrames: client-supplied numbers and frames
+  # reach the JSON reader and the integer checks here.
+  ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS" \
+      -R 'test_gpu|Sanitize|Seeded|CleanApps|Reporting|JobModel|Protocol|MalformedFrames'
   "$ASAN_BUILD"/bench/fig6_dmr_runtime --scale=64 --sanitize=all > /dev/null
 else
   echo "== tier 1: libasan/libubsan not available; skipping ASan+UBSan pass =="

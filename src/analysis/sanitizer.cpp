@@ -183,16 +183,6 @@ void Sanitizer::end_launch() {
 
 // --- races ---------------------------------------------------------------
 
-bool Sanitizer::racy_annotated(std::uintptr_t lo, std::uintptr_t hi) const {
-  auto it = racy_.upper_bound(lo);
-  if (it != racy_.begin()) {
-    --it;
-    if (it->second.first > lo) return true;  // interval covering lo
-  }
-  it = racy_.upper_bound(lo);
-  return it != racy_.end() && it->first < hi;
-}
-
 void Sanitizer::on_access(std::uint32_t block, const void* addr,
                           std::size_t bytes, Access access) {
   if (!opts_.races && !opts_.memory) return;
@@ -221,7 +211,6 @@ void Sanitizer::on_access(std::uint32_t block, const void* addr,
   // Host-side accesses and ordered (sequential / campaign-pinned) phases
   // are totally ordered with respect to everything in the launch.
   if (block == kHostAgent || !in_launch_ || phase_ordered_) return;
-  if (racy_annotated(lo, hi)) return;
 
   const bool is_write = access != Access::kRead;
   const bool is_atomic = access == Access::kAtomic;
@@ -264,18 +253,6 @@ void Sanitizer::on_access(std::uint32_t block, const void* addr,
     ws.has_write |= is_write;
     ws.all_atomic &= is_atomic;
   }
-}
-
-void Sanitizer::annotate_racy(const void* addr, std::size_t bytes,
-                              std::string why) {
-  std::scoped_lock lock(mu_);
-  const auto lo = reinterpret_cast<std::uintptr_t>(addr);
-  racy_[lo] = {lo + bytes, std::move(why)};
-}
-
-void Sanitizer::clear_racy(const void* addr) {
-  std::scoped_lock lock(mu_);
-  racy_.erase(reinterpret_cast<std::uintptr_t>(addr));
 }
 
 void Sanitizer::note_intentional(std::string what, std::string why) {

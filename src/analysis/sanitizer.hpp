@@ -143,12 +143,6 @@ class Sanitizer {
   void on_access(std::uint32_t block, const void* addr, std::size_t bytes,
                  Access access);
 
-  /// Marks [addr, addr+bytes) as an intentional race (e.g. PTA's monotonic
-  /// pull updates, SP's relaxed eta cells): accesses are exempt from the
-  /// race check. `why` is kept for the annotation report.
-  void annotate_racy(const void* addr, std::size_t bytes, std::string why);
-  void clear_racy(const void* addr);
-
   /// Free-form intent annotation (no address): records that a deliberately
   /// unsynchronized pattern exists, so a clean report still documents it.
   void note_intentional(std::string what, std::string why);
@@ -251,7 +245,6 @@ class Sanitizer {
 
   void add_finding(HazardClass cls, std::string kind, std::uintptr_t addr,
                    std::string detail);  // requires mu_ held
-  bool racy_annotated(std::uintptr_t lo, std::uintptr_t hi) const;
   std::string launch_label() const;  // requires mu_ held
   void resolve_barriers();           // requires mu_ held
 
@@ -267,9 +260,8 @@ class Sanitizer {
   std::uint32_t tpb_ = 0;
   std::uint32_t phase_ = 0;
 
-  // races: per-phase word shadow + annotations + ownership.
+  // races: per-phase word shadow + ownership.
   std::unordered_map<std::uintptr_t, WordState> words_;
-  std::map<std::uintptr_t, std::pair<std::uintptr_t, std::string>> racy_;
   std::unordered_map<const void*,
                      std::unordered_map<std::uint32_t, std::uint32_t>>
       owners_;

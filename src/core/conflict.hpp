@@ -66,9 +66,6 @@ class MarkTable {
   void set_force_ties(bool on) {
     force_ties_.store(on, std::memory_order_relaxed);
   }
-  bool force_ties() const {
-    return force_ties_.load(std::memory_order_relaxed);
-  }
 
   /// Phase 1: mark every element of the neighborhood with `tid`. Contention
   /// resolves highest-id-wins (a CAS-max), which matches the serial

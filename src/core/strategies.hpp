@@ -1,10 +1,11 @@
 // Subgraph addition and deletion strategies (paper Sec. 7.1 / 7.2).
 //
-// The mechanics live in gpu::DeviceBuffer (Pre-allocation / Host-Only /
-// Kernel-Host growth) and gpu::DeviceHeap (Kernel-Only chunked malloc). This
-// header provides SlotRecycler, the "Recycle" deletion strategy DMR uses:
-// deleted element slots are remembered and handed back to threads creating
-// new elements, trading compaction overhead against allocation cost.
+// Kernel-Only chunked malloc lives in gpu::DeviceHeap; the host-driven
+// growth strategies are charged inline by their drivers (DMR's reservation
+// in dmr/refine.cpp). This header provides SlotRecycler, the "Recycle"
+// deletion strategy DMR uses: deleted element slots are remembered and
+// handed back to threads creating new elements, trading compaction overhead
+// against allocation cost.
 #pragma once
 
 #include <atomic>

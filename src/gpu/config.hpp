@@ -74,11 +74,6 @@ struct DeviceConfig {
   /// the standard fast path for the drivers and benches (--host-workers).
   std::uint32_t host_workers = 1;
 
-  /// When true, logical threads within a phase run in a seeded pseudo-random
-  /// order instead of ascending id, to exercise order-independence.
-  bool shuffle_threads = false;
-  std::uint64_t shuffle_seed = 1;
-
   /// Telemetry event sink (telemetry/trace.hpp); null disables collection
   /// entirely — a disabled device takes one branch per launch and its
   /// modeled statistics are bit-identical to a build without telemetry.

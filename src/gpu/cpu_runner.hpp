@@ -65,7 +65,6 @@ class ParallelRunner {
 
   const CpuConfig& config() const { return cfg_; }
   const CpuStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = CpuStats{}; }
 
   /// Runs f(ctx, i) for i in [0, n), item i on worker i % workers.
   template <typename F>

@@ -1,10 +1,8 @@
 #include "gpu/device.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <thread>
 
-#include "support/rng.hpp"
 #include "telemetry/trace.hpp"
 
 namespace morph::gpu {
@@ -139,17 +137,6 @@ KernelStats Device::launch_phases(const LaunchConfig& lc,
                       static_cast<std::uint32_t>(phases.size()));
   }
 
-  // Thread execution order within a phase. Blocks are the unit of host
-  // parallelism; within a block threads run in ascending (or shuffled) order.
-  std::vector<std::uint32_t> order;
-  if (cfg_.shuffle_threads) {
-    order.resize(lc.threads_per_block);
-    std::iota(order.begin(), order.end(), 0u);
-    Rng rng(cfg_.shuffle_seed);
-    for (std::size_t i = order.size(); i > 1; --i)
-      std::swap(order[i - 1], order[rng.next_below(i)]);
-  }
-
   // Per-block accumulators, written only by the (unique) executor of each
   // block and reduced in ascending block order afterwards: the reduction is
   // race-free and bit-identical for any host_workers value.
@@ -175,8 +162,9 @@ KernelStats Device::launch_phases(const LaunchConfig& lc,
       BlockAcc& a = acc[b];
       std::vector<std::uint64_t> warp_max(warps_per_block, 0);
 
-      for (std::uint32_t i = 0; i < lc.threads_per_block; ++i) {
-        const std::uint32_t tib = cfg_.shuffle_threads ? order[i] : i;
+      // Blocks are the unit of host parallelism; within a block threads run
+      // in ascending order.
+      for (std::uint32_t tib = 0; tib < lc.threads_per_block; ++tib) {
         ThreadCtx ctx;
         ctx.tid_ = static_cast<std::uint32_t>(b) * lc.threads_per_block + tib;
         ctx.block_ = static_cast<std::uint32_t>(b);

@@ -159,9 +159,6 @@ class Device {
                             BarrierKind barrier = BarrierKind::kHierarchical);
 
   const DeviceStats& stats() const { return stats_; }
-  /// Also rewinds the telemetry timestamp cursor (trace timestamps are the
-  /// accumulated modeled cycles).
-  void reset_stats() { stats_ = DeviceStats{}; }
 
   /// Records a named counter sample (e.g. worklist occupancy) on the trace
   /// at the current modeled-cycle timestamp. No-op when tracing is off.
@@ -180,9 +177,6 @@ class Device {
   /// one branch per injection point.
   bool faults_armed() const { return injector_ != nullptr; }
 
-  /// The campaign's injection state; null unless faults_armed().
-  resilience::FaultInjector* fault_injector() { return injector_.get(); }
-
   /// Counts one opportunity for `cls` against the armed campaign; false when
   /// no campaign is armed or no clause fires.
   bool fault_should_fire(resilience::FaultClass cls) {
@@ -199,7 +193,7 @@ class Device {
   /// the modeled timeline.
   void note_stall(double cycles) { stats_.modeled_cycles += cycles; }
 
-  // --- memory accounting hooks (used by DeviceBuffer / DeviceHeap) ---
+  // --- memory accounting hooks (used by the drivers and DeviceHeap) ---
   void note_host_alloc(std::uint64_t bytes);
   void note_realloc(std::uint64_t bytes_copied);
   void note_device_malloc(std::uint64_t bytes);

@@ -1,12 +1,11 @@
-// Device memory management for the simulator.
+// Kernel-side device memory for the simulator.
 //
-// DeviceBuffer models cudaMalloc'd storage with host-driven growth — the
-// *Pre-allocation*, *Host-Only* and *Kernel-Host* subgraph-addition
-// strategies of paper Sec. 7.1 all manage their storage through it (they
-// differ in who computes the new size). DeviceHeap models CUDA 2.x
-// kernel-side malloc and implements the *Kernel-Only* strategy: linked
-// chunks of a fixed element count, with a free list so explicit deletion
-// (Sec. 7.2) can recycle chunks.
+// DeviceHeap models CUDA 2.x kernel-side malloc and implements the
+// *Kernel-Only* subgraph-addition strategy of paper Sec. 7.1: linked chunks
+// of a fixed element count, with a free list so explicit deletion (Sec. 7.2)
+// can recycle chunks. The host-driven strategies (Pre-allocation, Host-Only,
+// Kernel-Host) need no buffer type: their drivers charge reservations and
+// regrowth through Device::note_host_alloc / note_realloc directly.
 #pragma once
 
 #include <cstdint>
@@ -20,76 +19,6 @@
 #include "support/status.hpp"
 
 namespace morph::gpu {
-
-/// A typed device allocation whose growth is accounted against a Device.
-template <typename T>
-class DeviceBuffer {
- public:
-  DeviceBuffer(Device& dev, std::size_t n = 0) : dev_(&dev), data_(n) {
-    if (n) dev_->note_host_alloc(n * sizeof(T));
-  }
-
-  std::size_t size() const { return data_.size(); }
-  bool empty() const { return data_.empty(); }
-  std::size_t capacity() const { return data_.capacity(); }
-
-  T& operator[](std::size_t i) { return data_[i]; }
-  const T& operator[](std::size_t i) const { return data_[i]; }
-  T* data() { return data_.data(); }
-  const T* data() const { return data_.data(); }
-  std::span<T> span() { return {data_.data(), data_.size()}; }
-  std::span<const T> span() const { return {data_.data(), data_.size()}; }
-
-  /// Optional hard capacity limit in elements (0 = unlimited): growth beyond
-  /// it returns kCapacityExceeded from try_grow instead of allocating.
-  /// Models a device with finite memory so recovery ladders can be tested.
-  void set_limit(std::size_t limit_elems) { limit_elems_ = limit_elems; }
-  std::size_t limit() const { return limit_elems_; }
-
-  /// Host-driven growth to at least `n` elements. If the current capacity is
-  /// insufficient, a reallocation (alloc + device-to-device copy) is charged;
-  /// `slack` over-allocates by that factor to amortize future growth, which
-  /// is the knob the paper tunes to "greatly reduce" reallocations.
-  /// Returns kCapacityExceeded (leaving the buffer unchanged) when `n`
-  /// exceeds the configured limit, so callers can degrade instead of dying.
-  Status try_grow(std::size_t n, double slack = 1.5) {
-    if (n <= data_.size()) return Status::Ok();
-    if (limit_elems_ != 0 && n > limit_elems_) {
-      return Status(StatusCode::kCapacityExceeded,
-                    "DeviceBuffer growth to " + std::to_string(n) +
-                        " elems exceeds limit " +
-                        std::to_string(limit_elems_));
-    }
-    if (n > data_.capacity()) {
-      // Clamp so slack < 1.0 can't shrink the request below n (the resize
-      // below would then reallocate again, uncharged and unmodeled). The
-      // realloc's device-to-device copy moves the old *logical* contents.
-      std::size_t new_cap = std::max(
-          n, static_cast<std::size_t>(
-                 static_cast<double>(std::max(n, data_.capacity())) * slack));
-      if (limit_elems_ != 0) new_cap = std::min(new_cap, limit_elems_);
-      dev_->note_realloc(data_.size() * sizeof(T));
-      dev_->note_host_alloc(new_cap * sizeof(T));
-      data_.reserve(new_cap);
-    }
-    data_.resize(n);
-    return Status::Ok();
-  }
-
-  /// try_grow that throws morph::FaultError on failure — for call sites with
-  /// no recovery ladder (the historical aborting behaviour, now typed).
-  void grow(std::size_t n, double slack = 1.5) {
-    throw_if_error(try_grow(n, slack));
-  }
-
-  /// Models an explicit cudaMemcpy of the whole buffer.
-  void transfer() const { dev_->note_copy(data_.size() * sizeof(T)); }
-
- private:
-  Device* dev_;
-  std::vector<T> data_;
-  std::size_t limit_elems_ = 0;
-};
 
 /// Kernel-side chunked allocator (the paper's Kernel-Only strategy, used for
 /// PTA's per-node incoming-neighbor lists). Thread-safe.

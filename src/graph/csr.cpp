@@ -40,18 +40,6 @@ CsrGraph CsrGraph::from_undirected_edges(Node num_nodes,
   return from_edges(num_nodes, both, with_weights);
 }
 
-CsrGraph CsrGraph::permuted(std::span<const Node> perm) const {
-  MORPH_CHECK(perm.size() == num_nodes());
-  std::vector<Edge> edges;
-  edges.reserve(num_edges());
-  for (Node u = 0; u < num_nodes(); ++u) {
-    for (EdgeId e = row_begin(u); e < row_end(u); ++e) {
-      edges.push_back({perm[u], perm[edge_dst(e)], edge_weight(e)});
-    }
-  }
-  return from_edges(num_nodes(), edges, has_weights());
-}
-
 bool CsrGraph::validate(bool require_symmetric) const {
   for (std::size_t i = 1; i < row_.size(); ++i) {
     if (row_[i] < row_[i - 1]) return false;

@@ -3,7 +3,9 @@
 // All edges are stored contiguously, with the edges of a node stored
 // together; each node records a start offset into the edge array. Directed
 // by construction; undirected graphs store each edge twice (once per
-// direction), as the paper does for MST and SP.
+// direction), as the paper does for MST and SP. Node ids are fixed at
+// construction: the memory-layout optimization renumbers DMR's mesh
+// (Mesh::compact_and_reorder), never a graph.
 #pragma once
 
 #include <cstdint>
@@ -68,10 +70,6 @@ class CsrGraph {
                ? 0.0
                : static_cast<double>(num_edges()) / num_nodes();
   }
-
-  /// Returns the graph with node ids renumbered by `perm` (new id =
-  /// perm[old id]). Used by the memory-layout optimization.
-  CsrGraph permuted(std::span<const Node> perm) const;
 
   /// Structural sanity: offsets monotone, targets in range, and (optionally)
   /// symmetric — every edge (u,v,w) has a matching (v,u,w).

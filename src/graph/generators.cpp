@@ -191,10 +191,4 @@ std::vector<Edge> gen_clustered(Node num_nodes, std::uint32_t cluster,
   return edges;
 }
 
-Node max_node_plus_one(const std::vector<Edge>& edges) {
-  Node m = 0;
-  for (const Edge& e : edges) m = std::max({m, e.src, e.dst});
-  return m + 1;
-}
-
 }  // namespace morph::graph

@@ -49,8 +49,4 @@ std::vector<Edge> gen_clustered(Node num_nodes, std::uint32_t cluster,
                                 double avg_degree, Weight max_weight,
                                 std::uint64_t seed);
 
-/// Number of nodes an edge list spans (max endpoint + 1); convenience for
-/// generator output.
-Node max_node_plus_one(const std::vector<Edge>& edges);
-
 }  // namespace morph::graph

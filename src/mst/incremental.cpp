@@ -6,6 +6,7 @@
 #include "graph/union_find.hpp"
 #include "mst/edge_key.hpp"
 #include "support/check.hpp"
+#include "support/digest.hpp"
 #include "support/timer.hpp"
 
 namespace morph::mst {
@@ -54,13 +55,6 @@ bool erase_entry(std::vector<std::pair<Node, Weight>>& list, Node v,
     }
   }
   return false;
-}
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ull;
-  }
 }
 
 }  // namespace
@@ -270,7 +264,7 @@ std::vector<std::pair<Node, Node>> forest_pairs(const MstState& st) {
 }
 
 std::uint64_t state_digest(const MstState& st) {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kDigestBasis;
   fnv_mix(h, st.n);
   fnv_mix(h, st.total_weight);
   fnv_mix(h, st.tree_edges);

@@ -319,10 +319,7 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
         if (!full_sweep && !changed_cur[ptr] && st.iterations > 1) continue;
         ctx.global_access();
         std::scoped_lock lock(list_mu);
-        for (Var raw : pts[ptr]) {
-          // With offline cycle elimination, an element acting as a pointer
-          // endpoint is represented by its copy-cycle representative.
-          const Var v = opts.pointer_rep ? (*opts.pointer_rep)[raw] : raw;
+        for (Var v : pts[ptr]) {
           std::uint64_t ops = 0;
           bool added = false;
           if (c.kind == ConstraintKind::kLoad) {
@@ -465,7 +462,7 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
   // sound fixed point. Checked only when a campaign is armed — the closure
   // walk re-visits every constraint.
   if (dev.faults_armed()) {
-    if (!check_solution(cs, pts, opts.pointer_rep)) {
+    if (!check_solution(cs, pts)) {
       throw FaultError(
           Status(StatusCode::kInvariantViolation,
                  "pta::solve_gpu: recovered solution violates points-to "

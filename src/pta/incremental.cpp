@@ -4,6 +4,7 @@
 
 #include "pta/sets.hpp"
 #include "support/check.hpp"
+#include "support/digest.hpp"
 
 namespace morph::pta {
 
@@ -29,13 +30,6 @@ void charge(gpu::Device& dev, std::size_t n, const char* label,
       if (atomics != 0) ctx.atomic_op(atomics);
     }
   });
-}
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ull;
-  }
 }
 
 }  // namespace
@@ -139,7 +133,7 @@ PtaDelta apply_updates(PtaState& st, std::span<const Constraint> updates,
 }
 
 std::uint64_t state_digest(const PtaState& st) {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kDigestBasis;
   fnv_mix(h, st.cs.num_vars);
   for (const std::vector<Var>& set : st.pts) {
     fnv_mix(h, set.size());

@@ -30,10 +30,6 @@ struct PtaOptions {
   bool push_based = false;      ///< ablation: push (atomics) vs pull
   bool divergence_sort = true;  ///< pack enabled pointer nodes (Sec. 7.6)
   std::uint32_t chunk_elems = 1024;  ///< Kernel-Only chunk size (512..4096)
-  /// Pointer-representative table from offline cycle elimination
-  /// (pta/cycle_elim.hpp): dynamically discovered edges route their
-  /// pointer endpoint through it. Null = identity.
-  const std::vector<Var>* pointer_rep = nullptr;
 
   // --- resilience (docs/RESILIENCE.md) ---
 
@@ -69,9 +65,7 @@ bool equal_pts(const PtsSets& a, const PtsSets& b);
 
 /// Soundness check of a solution against the constraint set: every set is
 /// sorted and duplicate-free and the subset-closure of all four constraint
-/// kinds holds (edges routed through `pointer_rep` exactly as solve_gpu
-/// routes them). Used to gate recovery under fault campaigns.
-bool check_solution(const ConstraintSet& cs, const PtsSets& pts,
-                    const std::vector<Var>* pointer_rep = nullptr);
+/// kinds holds. Used to gate recovery under fault campaigns.
+bool check_solution(const ConstraintSet& cs, const PtsSets& pts);
 
 }  // namespace morph::pta

@@ -1,10 +1,9 @@
 // Points-to soundness checker (docs/RESILIENCE.md): validates that a
 // solution is a sound fixed point of the constraint set, i.e. every
 // subset edge the solver materializes — including the dynamic load/store
-// edges routed through the cycle-elimination representative table exactly
-// as solve_gpu routes them — is closed under the final sets. Used to gate
-// recovery after a fault campaign; a run that survived injected arena
-// exhaustion must still pass.
+// edges — is closed under the final sets. Used to gate recovery after a
+// fault campaign; a run that survived injected arena exhaustion must still
+// pass.
 #include <algorithm>
 
 #include "pta/solve.hpp"
@@ -26,13 +25,11 @@ bool subset_of(const std::vector<Var>& a, const std::vector<Var>& b) {
 
 }  // namespace
 
-bool check_solution(const ConstraintSet& cs, const PtsSets& pts,
-                    const std::vector<Var>* pointer_rep) {
+bool check_solution(const ConstraintSet& cs, const PtsSets& pts) {
   if (pts.size() != cs.num_vars) return false;
   for (const auto& s : pts) {
     if (!sorted_unique(s)) return false;
   }
-  auto rep = [&](Var v) { return pointer_rep ? (*pointer_rep)[v] : v; };
   for (const Constraint& c : cs.constraints) {
     switch (c.kind) {
       case ConstraintKind::kAddressOf:
@@ -45,16 +42,14 @@ bool check_solution(const ConstraintSet& cs, const PtsSets& pts,
         break;
       case ConstraintKind::kLoad:
         // p = *q: for every v in pts(q), pts(v) must flow into pts(p).
-        for (Var raw : pts[c.src]) {
-          const Var v = rep(raw);
+        for (Var v : pts[c.src]) {
           if (v == c.dst) continue;
           if (!subset_of(pts[v], pts[c.dst])) return false;
         }
         break;
       case ConstraintKind::kStore:
         // *p = q: for every v in pts(p), pts(q) must flow into pts(v).
-        for (Var raw : pts[c.dst]) {
-          const Var v = rep(raw);
+        for (Var v : pts[c.dst]) {
           if (v == c.src) continue;
           if (!subset_of(pts[c.src], pts[v])) return false;
         }

@@ -7,20 +7,11 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 namespace morph::serve {
 
 using telemetry::Json;
-
-namespace {
-
-Status io_error(const std::string& what) {
-  return Status(StatusCode::kIoError, what + ": " + std::strerror(errno));
-}
-
-}  // namespace
 
 Status Client::connect(const std::string& socket_path) {
   close();

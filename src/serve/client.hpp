@@ -86,9 +86,6 @@ class Client {
   /// and the server stays silent past it.
   Status next_message(telemetry::Json* out);
 
-  /// Messages already decoded and waiting.
-  std::size_t inbox_size() const { return inbox_.size(); }
-
  private:
   Status send_message(const telemetry::Json& msg);
   /// Drains writable outbound bytes and readable inbound frames.

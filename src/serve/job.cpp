@@ -1,5 +1,8 @@
 #include "serve/job.hpp"
 
+#include <algorithm>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "support/check.hpp"
@@ -67,17 +70,24 @@ Status bad(const std::string& what) {
   return Status(StatusCode::kBadRequest, what);
 }
 
-Status take_u64(const Json& doc, const std::string& key, std::uint64_t dflt,
-                std::uint64_t* out) {
+/// Reads the optional integer field `key` of `doc` (`dflt` when absent);
+/// anything but a non-negative integer that fits T (and int64) is a bad
+/// request naming `field`.
+template <typename T>
+Status take_uint(const Json& doc, const std::string& key,
+                 const std::string& field, T dflt, T* out) {
   const Json* v = doc.find(key);
   if (v == nullptr) {
     *out = dflt;
     return Status::Ok();
   }
-  if (!v->is_number() || v->as_double() < 0) {
-    return bad("params." + key + " must be a non-negative integer");
+  constexpr std::uint64_t kMax = std::min<std::uint64_t>(
+      std::numeric_limits<T>::max(), std::numeric_limits<std::int64_t>::max());
+  const std::optional<std::uint64_t> n = v->as_uint(kMax);
+  if (!n) {
+    return bad(field + " must be an integer in 0.." + std::to_string(kMax));
   }
-  *out = static_cast<std::uint64_t>(v->as_int());
+  *out = static_cast<T>(*n);
   return Status::Ok();
 }
 
@@ -96,21 +106,20 @@ Status JobSpec::from_json(const Json& doc, JobKind kind_in, JobSpec* out) {
     for (const char* kk : kKnown) known = known || key == kk;
     if (!known) return bad("unknown params key \"" + key + "\"");
   }
+  const auto take = [&](const char* key, auto* field) {
+    return take_uint(doc, key, std::string("params.") + key, *field, field);
+  };
   Status s;
-  if (!(s = take_u64(doc, "size", out->size, &out->size)).ok()) return s;
+  if (!(s = take("size", &out->size)).ok()) return s;
   if (out->size == 0) return bad("params.size must be positive");
-  if (!(s = take_u64(doc, "size2", 0, &out->size2)).ok()) return s;
-  std::uint64_t v = 0;
-  if (!(s = take_u64(doc, "k", out->k, &v)).ok()) return s;
-  if (kind_in == JobKind::kSp && (v < 3 || v > 6)) {
+  if (!(s = take("size2", &out->size2)).ok()) return s;
+  if (!(s = take("k", &out->k)).ok()) return s;
+  if (kind_in == JobKind::kSp && (out->k < 3 || out->k > 6)) {
     return bad("params.k must be in 3..6");
   }
-  out->k = static_cast<std::uint32_t>(v);
-  if (!(s = take_u64(doc, "sweeps", out->sweeps, &v)).ok()) return s;
-  out->sweeps = static_cast<std::uint32_t>(v);
-  if (!(s = take_u64(doc, "phases", out->phases, &v)).ok()) return s;
-  out->phases = static_cast<std::uint32_t>(v);
-  if (!(s = take_u64(doc, "seed", out->seed, &out->seed)).ok()) return s;
+  if (!(s = take("sweeps", &out->sweeps)).ok()) return s;
+  if (!(s = take("phases", &out->phases)).ok()) return s;
+  if (!(s = take("seed", &out->seed)).ok()) return s;
   if (const Json* b = doc.find("validate")) {
     if (b->type() != Json::Type::kBool) {
       return bad("params.validate must be a boolean");
@@ -145,21 +154,19 @@ Status JobRequest::from_json(const Json& doc, JobRequest* out) {
   if (!doc.is_object()) return bad("submit message must be an object");
   *out = JobRequest{};
   const Json* id = doc.find("id");
-  if (id == nullptr || !id->is_number()) {
-    return bad("submit.id must be a number");
-  }
-  out->id = static_cast<std::uint64_t>(id->as_int());
+  const std::optional<std::uint64_t> idv =
+      id != nullptr ? id->as_uint() : std::nullopt;
+  if (!idv) return bad("submit.id must be a non-negative integer");
+  out->id = *idv;
   const Json* kind = doc.find("kind");
   if (kind == nullptr || !kind->is_string() ||
       !parse_job_kind(kind->as_string(), &out->spec.kind)) {
     return bad("submit.kind must be one of dmr, sp, pta, mst");
   }
   if (const Json* p = doc.find("priority")) {
-    if (!p->is_number() || p->as_double() < 0 ||
-        p->as_int() > static_cast<std::int64_t>(kMaxPriority)) {
-      return bad("submit.priority must be in 0..7");
-    }
-    out->priority = static_cast<std::uint32_t>(p->as_int());
+    const std::optional<std::uint64_t> pv = p->as_uint(kMaxPriority);
+    if (!pv) return bad("submit.priority must be in 0..7");
+    out->priority = static_cast<std::uint32_t>(*pv);
   }
   const Json* params = doc.find("params");
   const Json empty = Json::object();
@@ -170,9 +177,11 @@ Status JobRequest::from_json(const Json& doc, JobRequest* out) {
     if (!f->is_string()) return bad("submit.faults must be a string");
     out->faults = f->as_string();
   }
-  std::uint64_t fs = 1;
-  if (!(s = take_u64(doc, "fault_seed", 1, &fs)).ok()) return s;
-  out->fault_seed = fs;
+  if (!(s = take_uint(doc, "fault_seed", "submit.fault_seed", out->fault_seed,
+                      &out->fault_seed))
+           .ok()) {
+    return s;
+  }
   if (const Json* t = doc.find("trace")) {
     if (t->type() != Json::Type::kBool) {
       return bad("submit.trace must be a boolean");

@@ -9,15 +9,13 @@
 #include <cstdio>
 #include <cstring>
 
+#include "serve/protocol.hpp"
+
 namespace morph::serve {
 
 namespace {
 
 constexpr char kMagic[8] = {'M', 'W', 'A', 'L', 'J', 'R', 'N', '1'};
-
-Status io_error(const std::string& what) {
-  return Status(StatusCode::kIoError, what + ": " + std::strerror(errno));
-}
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320), table built on first use.
 std::uint32_t crc32(const char* data, std::size_t n) {
@@ -38,30 +36,6 @@ std::uint32_t crc32(const char* data, std::size_t n) {
           (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
-}
-
-void put_u32be(std::uint32_t v, std::string& out) {
-  out.push_back(static_cast<char>(v >> 24));
-  out.push_back(static_cast<char>(v >> 16));
-  out.push_back(static_cast<char>(v >> 8));
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u64be(std::uint64_t v, std::string& out) {
-  put_u32be(static_cast<std::uint32_t>(v >> 32), out);
-  put_u32be(static_cast<std::uint32_t>(v), out);
-}
-
-std::uint32_t get_u32be(const char* in) {
-  return (static_cast<std::uint32_t>(static_cast<unsigned char>(in[0])) << 24) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(in[1])) << 16) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(in[2])) << 8) |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(in[3]));
-}
-
-std::uint64_t get_u64be(const char* in) {
-  return (static_cast<std::uint64_t>(get_u32be(in)) << 32) |
-         static_cast<std::uint64_t>(get_u32be(in + 4));
 }
 
 Status write_all(int fd, const char* data, std::size_t n) {

@@ -13,25 +13,11 @@ namespace morph::serve {
 
 using telemetry::Json;
 
-namespace {
-
 Status io_error(const std::string& what) {
   return Status(StatusCode::kIoError, what + ": " + std::strerror(errno));
 }
 
-Status write_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    // MSG_NOSIGNAL: a vanished peer must surface as kIoError, not SIGPIPE.
-    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return io_error("write");
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return Status::Ok();
-}
+namespace {
 
 Status read_all(int fd, char* data, std::size_t n) {
   while (n > 0) {
@@ -45,20 +31,6 @@ Status read_all(int fd, char* data, std::size_t n) {
     n -= static_cast<std::size_t>(r);
   }
   return Status::Ok();
-}
-
-void put_u32be(std::uint32_t v, char out[4]) {
-  out[0] = static_cast<char>(v >> 24);
-  out[1] = static_cast<char>(v >> 16);
-  out[2] = static_cast<char>(v >> 8);
-  out[3] = static_cast<char>(v);
-}
-
-std::uint32_t get_u32be(const char in[4]) {
-  return (static_cast<std::uint32_t>(static_cast<unsigned char>(in[0])) << 24) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(in[1])) << 16) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(in[2])) << 8) |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(in[3]));
 }
 
 Status parse_payload(const std::string& text, Json* out) {
@@ -80,15 +52,10 @@ std::string encode_frame(const Json& msg) {
   const std::string payload = msg.dump();
   MORPH_CHECK_MSG(payload.size() <= kMaxFrameBytes, "frame too large");
   std::string out;
-  out.resize(4);
-  put_u32be(static_cast<std::uint32_t>(payload.size()), out.data());
+  out.reserve(4 + payload.size());
+  put_u32be(static_cast<std::uint32_t>(payload.size()), out);
   out += payload;
   return out;
-}
-
-Status write_frame(int fd, const Json& msg) {
-  const std::string frame = encode_frame(msg);
-  return write_all(fd, frame.data(), frame.size());
 }
 
 Status read_frame(int fd, Json* out) {

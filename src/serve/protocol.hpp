@@ -12,8 +12,9 @@
 //   server -> client: "hello", "result", "reject", "error", "cancelled",
 //                     "stats", "bye"
 //
-// This header owns only framing and socket plumbing; message construction
-// lives in serve/server.cpp and serve/client.cpp.
+// This header owns framing, socket plumbing and the byte helpers the journal
+// and checkpoint encodings share; message construction lives in
+// serve/server.cpp and serve/client.cpp.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +32,27 @@ inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 /// Protocol revision, exchanged in "hello". Bump on incompatible changes.
 inline constexpr std::int64_t kProtocolVersion = 1;
 
-/// Writes one length-prefixed frame to a blocking fd. Retries EINTR and
-/// short writes; kIoError on transport failure (including EPIPE).
-Status write_frame(int fd, const telemetry::Json& msg);
+/// kIoError whose message is "<what>: <strerror(errno)>".
+Status io_error(const std::string& what);
+
+// Big-endian integers, the one byte order of frame prefixes, journal
+// records and checkpoint blobs.
+inline void put_u32be(std::uint32_t v, std::string& out) {
+  for (int i = 24; i >= 0; i -= 8) out.push_back(static_cast<char>(v >> i));
+}
+inline void put_u64be(std::uint64_t v, std::string& out) {
+  for (int i = 56; i >= 0; i -= 8) out.push_back(static_cast<char>(v >> i));
+}
+inline std::uint32_t get_u32be(const char* in) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v = (v << 8) | static_cast<unsigned char>(in[i]);
+  return v;
+}
+inline std::uint64_t get_u64be(const char* in) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v = (v << 8) | static_cast<unsigned char>(in[i]);
+  return v;
+}
 
 /// Encodes a message into its on-the-wire bytes (prefix + payload). The
 /// nonblocking client assembles frames itself so it can interleave partial

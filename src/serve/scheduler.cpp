@@ -6,26 +6,19 @@
 #include <sstream>
 #include <utility>
 
+#include "serve/protocol.hpp"
 #include "support/check.hpp"
 
 namespace morph::serve {
 
 namespace {
 
-// Big-endian u64 helpers for the checkpoint blob (doubles travel as
+// Bounds-checked big-endian reads of the checkpoint blob (doubles travel as
 // bit-cast u64s so the round-trip is exact).
-void put_u64(std::uint64_t v, std::string& out) {
-  for (int i = 56; i >= 0; i -= 8) out.push_back(static_cast<char>(v >> i));
-}
-
 bool get_u64(const std::string& in, std::size_t& pos, std::uint64_t* out) {
   if (in.size() - pos < 8) return false;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v = (v << 8) | static_cast<unsigned char>(in[pos + i]);
-  }
+  *out = get_u64be(in.data() + pos);
   pos += 8;
-  *out = v;
   return true;
 }
 
@@ -305,25 +298,25 @@ std::string Scheduler::checkpoint_blob() const {
                       runnable_.empty(),
                   "scheduler checkpoint requires quiescence");
   std::string b;
-  put_u64(next_seq_, b);
-  put_u64(next_batch_id_, b);
-  put_u64(flush_watermark_, b);
-  put_u64(placed_jobs_, b);
-  put_u64(admitted_, b);
-  put_u64(rejected_, b);
-  put_u64(deadline_rejected_, b);
-  put_u64(cancelled_, b);
-  put_u64(std::bit_cast<std::uint64_t>(last_at_), b);
-  put_u64(std::bit_cast<std::uint64_t>(bucket_), b);
-  put_u64(saw_arrival_ ? 1 : 0, b);
-  put_u64(slot_ready_.size(), b);
+  put_u64be(next_seq_, b);
+  put_u64be(next_batch_id_, b);
+  put_u64be(flush_watermark_, b);
+  put_u64be(placed_jobs_, b);
+  put_u64be(admitted_, b);
+  put_u64be(rejected_, b);
+  put_u64be(deadline_rejected_, b);
+  put_u64be(cancelled_, b);
+  put_u64be(std::bit_cast<std::uint64_t>(last_at_), b);
+  put_u64be(std::bit_cast<std::uint64_t>(bucket_), b);
+  put_u64be(saw_arrival_ ? 1 : 0, b);
+  put_u64be(slot_ready_.size(), b);
   for (const double t : slot_ready_) {
-    put_u64(std::bit_cast<std::uint64_t>(t), b);
+    put_u64be(std::bit_cast<std::uint64_t>(t), b);
   }
-  put_u64(deposits_.size(), b);
+  put_u64be(deposits_.size(), b);
   for (const auto& [seq, rem] : deposits_) {
-    put_u64(seq, b);
-    put_u64(std::bit_cast<std::uint64_t>(rem), b);
+    put_u64be(seq, b);
+    put_u64be(std::bit_cast<std::uint64_t>(rem), b);
   }
   return b;
 }

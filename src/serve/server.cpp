@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -18,20 +19,6 @@ namespace morph::serve {
 using telemetry::Json;
 
 namespace {
-
-// Big-endian u64 head of the checkpoint state blob (the arrival-gate
-// high-water mark; the rest is the scheduler's own snapshot encoding).
-void put_u64be(std::uint64_t v, std::string& out) {
-  for (int i = 56; i >= 0; i -= 8) out.push_back(static_cast<char>(v >> i));
-}
-
-std::uint64_t get_u64be(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
 
 bool is_session_type(const std::string& t) {
   return t == "session-open" || t == "session-update" || t == "session-close";
@@ -242,29 +229,40 @@ void Server::writer_loop(std::shared_ptr<Conn> conn) {
 }
 
 void Server::reader_loop(std::shared_ptr<Conn> conn) {
+  // A frame refused before the arrival gate: typed error, the stream lives.
+  const auto refuse = [&](const std::string& message) {
+    Json err = Json::object();
+    err.set("type", "error");
+    err.set("code", status_code_name(StatusCode::kBadRequest));
+    err.set("message", message);
+    send(conn, err);
+    std::lock_guard<std::mutex> lk(mu_);
+    ++bad_requests_;
+  };
   while (!stopping_.load() && conn->open.load()) {
     Json msg;
     const Status s = read_frame(conn->fd, &msg);
     if (!s.ok()) {
       if (s.code() == StatusCode::kBadRequest) {
         // Framing survived; only the payload was garbage. Complain, go on.
-        Json err = Json::object();
-        err.set("type", "error");
-        err.set("code", status_code_name(s.code()));
-        err.set("message", s.message());
-        send(conn, err);
-        std::lock_guard<std::mutex> lk(mu_);
-        ++bad_requests_;
+        refuse(s.message());
         continue;
       }
       break;  // disconnect
     }
     const Json* arr = msg.find("arrival");
-    if (arr != nullptr && arr->is_number()) {
+    if (arr != nullptr) {
       // Arrival gate (see server.hpp): block until this frame's turn in the
       // client-assigned global order. Cooperative — a client that skips a
-      // number stalls its successors until stop.
-      const auto n = static_cast<std::uint64_t>(arr->as_int());
+      // number stalls its successors until stop. A malformed stamp (a
+      // negative, a fraction, a non-number) is refused before the gate: it
+      // is not journaled and the gate does not move.
+      const std::optional<std::uint64_t> stamp = arr->as_uint();
+      if (!stamp) {
+        refuse("arrival must be a non-negative integer");
+        continue;
+      }
+      const std::uint64_t n = *stamp;
       std::unique_lock<std::mutex> lk(order_mu_);
       order_cv_.wait(lk, [&] { return stopping_.load() || next_arrival_ >= n; });
       if (stopping_.load()) break;
@@ -388,8 +386,10 @@ void Server::handle_submit(const std::shared_ptr<Conn>& conn,
   if (!parsed.ok()) {
     Json err = Json::object();
     err.set("type", "error");
-    if (const Json* id = msg.find("id"); id != nullptr && id->is_number()) {
-      err.set("id", static_cast<std::uint64_t>(id->as_int()));
+    if (const Json* id = msg.find("id")) {
+      if (const std::optional<std::uint64_t> v = id->as_uint()) {
+        err.set("id", *v);
+      }
     }
     err.set("code", status_code_name(parsed.code()));
     err.set("message", parsed.message());
@@ -447,11 +447,13 @@ void Server::handle_submit(const std::shared_ptr<Conn>& conn,
 void Server::handle_cancel(const std::shared_ptr<Conn>& conn, const Json& msg,
                            std::uint64_t arrival) {
   const Json* id = msg.find("id");
-  if (id == nullptr || !id->is_number()) {
+  const std::optional<std::uint64_t> target =
+      id != nullptr ? id->as_uint() : std::nullopt;
+  if (!target) {
     Json err = Json::object();
     err.set("type", "error");
     err.set("code", status_code_name(StatusCode::kBadRequest));
-    err.set("message", "cancel.id must be a number");
+    err.set("message", "cancel.id must be a non-negative integer");
     reply(conn, arrival, err);
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -460,14 +462,13 @@ void Server::handle_cancel(const std::shared_ptr<Conn>& conn, const Json& msg,
     inline_completed(arrival);
     return;
   }
-  const auto target = static_cast<std::uint64_t>(id->as_int());
   bool caught = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
     // Cancels ride the arrival gate and are journaled: whether one lands
     // before its job seals is part of the deterministic arrival sequence.
     for (auto it = job_ctx_.begin(); it != job_ctx_.end(); ++it) {
-      if (it->second.req.id != target) continue;
+      if (it->second.req.id != *target) continue;
       if (sched_.cancel(it->first)) {
         job_ctx_.erase(it);
         caught = true;
@@ -477,7 +478,7 @@ void Server::handle_cancel(const std::shared_ptr<Conn>& conn, const Json& msg,
   }
   Json r = Json::object();
   r.set("type", "cancelled");
-  r.set("id", target);
+  r.set("id", *target);
   r.set("caught", caught);  // false: sealed already, the result still comes
   reply(conn, arrival, r);
   inline_completed(arrival);
@@ -485,12 +486,11 @@ void Server::handle_cancel(const std::shared_ptr<Conn>& conn, const Json& msg,
 
 void Server::handle_session(const std::shared_ptr<Conn>& conn, const Json& msg,
                             std::uint64_t arrival, const std::string& t) {
-  std::uint64_t id = 0;
-  bool has_id = false;
-  if (const Json* idj = msg.find("id"); idj != nullptr && idj->is_number()) {
-    id = static_cast<std::uint64_t>(idj->as_int());
-    has_id = true;
-  }
+  const Json* idj = msg.find("id");
+  const std::optional<std::uint64_t> idv =
+      idj != nullptr ? idj->as_uint() : std::nullopt;
+  const bool has_id = idv.has_value();
+  const std::uint64_t id = idv.value_or(0);
   const auto error_frame = [&](StatusCode code, const std::string& m) {
     Json err = Json::object();
     err.set("type", "error");
@@ -518,7 +518,11 @@ void Server::handle_session(const std::shared_ptr<Conn>& conn, const Json& msg,
   const Json* sj = msg.find("session");
   const std::string sname =
       sj != nullptr && sj->is_string() ? sj->as_string() : "";
-  if (sname.empty()) {
+  if (idj != nullptr && !has_id) {
+    r = error_frame(StatusCode::kBadRequest,
+                    t + ".id must be a non-negative integer");
+    bad = true;
+  } else if (sname.empty()) {
     r = error_frame(StatusCode::kBadRequest,
                     t + ".session must be a non-empty string");
     bad = true;

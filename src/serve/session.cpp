@@ -1,6 +1,7 @@
 #include "serve/session.hpp"
 
 #include <cstdio>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -34,12 +35,10 @@ Status check_keys(const Json& msg, std::initializer_list<const char*> allowed,
 
 bool get_count(const Json& msg, const char* key, std::uint64_t* out) {
   const Json* v = msg.find(key);
-  if (v == nullptr || !v->is_number()) return false;
-  const std::int64_t n = v->as_int();
-  if (n < 1 || static_cast<std::uint64_t>(n) > Session::kMaxElements) {
-    return false;
-  }
-  *out = static_cast<std::uint64_t>(n);
+  const std::optional<std::uint64_t> n =
+      v != nullptr ? v->as_uint(Session::kMaxElements) : std::nullopt;
+  if (!n || *n < 1) return false;
+  *out = *n;
   return true;
 }
 
@@ -52,12 +51,12 @@ Status parse_row(const Json& row, std::size_t index, std::size_t width,
                "] must be an array of " + std::to_string(width) + " numbers");
   }
   for (std::size_t i = 0; i < width; ++i) {
-    const Json& cell = row.at(i);
-    if (!cell.is_number() || cell.as_int() < 0) {
+    const std::optional<std::uint64_t> cell = row.at(i).as_uint();
+    if (!cell) {
       return bad("session-update.updates[" + std::to_string(index) +
-                 "] entries must be non-negative numbers");
+                 "] entries must be non-negative integers");
     }
-    out[i] = static_cast<std::uint64_t>(cell.as_int());
+    out[i] = *cell;
   }
   return Status::Ok();
 }
@@ -86,12 +85,12 @@ Status Session::Open(const Json& msg, std::uint32_t slot,
   std::uint64_t n = 0;
   if (k == "mst") {
     if (!get_count(msg, "nodes", &n)) {
-      return bad("session-open.nodes must be a number in [1, " +
+      return bad("session-open.nodes must be an integer in [1, " +
                  std::to_string(kMaxElements) + "]");
     }
   } else if (k == "pta") {
     if (!get_count(msg, "vars", &n)) {
-      return bad("session-open.vars must be a number in [1, " +
+      return bad("session-open.vars must be an integer in [1, " +
                  std::to_string(kMaxElements) + "]");
     }
   } else {

@@ -1,8 +1,6 @@
 #include "support/stats.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "support/check.hpp"
 
@@ -23,33 +21,6 @@ double geomean(std::span<const double> xs) {
     s += std::log(x);
   }
   return std::exp(s / static_cast<double>(xs.size()));
-}
-
-double stddev(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(xs.size() - 1));
-}
-
-double median(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  std::vector<double> v(xs.begin(), xs.end());
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return (n % 2 == 1) ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  sum_ += x;
-  ++n_;
 }
 
 }  // namespace morph

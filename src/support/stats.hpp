@@ -1,4 +1,5 @@
-// Small statistics helpers used by benches and the adaptive controller.
+// Small statistics helpers for the benches (geomean: the paper-style
+// speedup summary of fig10_pta).
 #pragma once
 
 #include <cstddef>
@@ -8,24 +9,5 @@ namespace morph {
 
 double mean(std::span<const double> xs);
 double geomean(std::span<const double> xs);
-double stddev(std::span<const double> xs);
-double median(std::span<const double> xs);
-
-/// Online mean/max/min accumulator.
-class RunningStats {
- public:
-  void add(double x);
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-  double min() const { return min_; }
-  double max() const { return max_; }
-  double sum() const { return sum_; }
-
- private:
-  std::size_t n_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 }  // namespace morph

@@ -18,7 +18,6 @@ enum class StatusCode {
   kOk = 0,
   kArenaExhausted,      ///< DeviceHeap chunk arena at its budget
   kWorklistFull,        ///< global worklist capacity reached
-  kCapacityExceeded,    ///< DeviceBuffer growth beyond its limit
   kLaunchFailed,        ///< transient kernel-launch failure (injected)
   kLivelock,            ///< conflict resolution made no progress
   kInvariantViolation,  ///< app-level invariant checker rejected the state
@@ -38,7 +37,6 @@ inline const char* status_code_name(StatusCode c) {
     case StatusCode::kOk: return "ok";
     case StatusCode::kArenaExhausted: return "arena-exhausted";
     case StatusCode::kWorklistFull: return "worklist-full";
-    case StatusCode::kCapacityExceeded: return "capacity-exceeded";
     case StatusCode::kLaunchFailed: return "launch-failed";
     case StatusCode::kLivelock: return "livelock";
     case StatusCode::kInvariantViolation: return "invariant-violation";

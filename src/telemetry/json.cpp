@@ -1,5 +1,6 @@
 #include "telemetry/json.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -20,7 +21,29 @@ double Json::as_double() const {
 
 std::int64_t Json::as_int() const {
   MORPH_CHECK_MSG(type_ == Type::kNumber, "JSON value is not a number");
-  return is_int_ ? int_ : static_cast<std::int64_t>(num_);
+  if (is_int_) return int_;
+  // Converting a double outside int64's range is undefined behaviour.
+  MORPH_CHECK_MSG(num_ >= -0x1p63 && num_ < 0x1p63,
+                  "JSON number is outside the int64 range");
+  return static_cast<std::int64_t>(num_);
+}
+
+std::optional<std::uint64_t> Json::as_uint(std::uint64_t max) const {
+  if (type_ != Type::kNumber) return std::nullopt;
+  std::uint64_t v = 0;
+  if (is_int_) {
+    if (int_ < 0) return std::nullopt;
+    v = static_cast<std::uint64_t>(int_);
+  } else {
+    // Range first: converting an out-of-range double is undefined. The
+    // int64 ceiling also refuses literals the parser could not hold exactly.
+    if (!(num_ >= 0.0 && num_ < 0x1p63) || std::trunc(num_) != num_) {
+      return std::nullopt;
+    }
+    v = static_cast<std::uint64_t>(num_);
+  }
+  if (v > max) return std::nullopt;
+  return v;
 }
 
 const std::string& Json::as_string() const {
@@ -335,10 +358,13 @@ class Parser {
     const std::string tok = s_.substr(start, pos_ - start);
     char* end = nullptr;
     if (integral) {
+      errno = 0;
       const long long v = std::strtoll(tok.c_str(), &end, 10);
       MORPH_CHECK_MSG(end && *end == '\0' && !tok.empty(),
                       "JSON: bad number \"" << tok << "\"");
-      return Json(static_cast<std::int64_t>(v));
+      // A literal past int64 keeps its (inexact) double value instead of
+      // saturating silently; checked readers then refuse it.
+      if (errno != ERANGE) return Json(static_cast<std::int64_t>(v));
     }
     const double v = std::strtod(tok.c_str(), &end);
     MORPH_CHECK_MSG(end && *end == '\0' && !tok.empty(),

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,7 +38,6 @@ class Json {
   static Json object() { return Json(Type::kObject); }
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
   bool is_object() const { return type_ == Type::kObject; }
   bool is_array() const { return type_ == Type::kArray; }
   bool is_number() const { return type_ == Type::kNumber; }
@@ -47,6 +48,12 @@ class Json {
   double as_double() const;
   std::int64_t as_int() const;
   const std::string& as_string() const;
+
+  /// Checked read of an untrusted integer field: the value when this is a
+  /// number holding an integer in [0, max], nullopt otherwise (a fraction
+  /// such as 1.5, a negative, 1e30, or an integer literal past int64).
+  std::optional<std::uint64_t> as_uint(
+      std::uint64_t max = std::numeric_limits<std::int64_t>::max()) const;
 
   // --- arrays ---
   void push_back(Json v);

@@ -1,6 +1,6 @@
-// Tests for the extensions beyond the paper's core: SCC-based cycle
-// elimination for PTA, mesh quality metrics, Triangle-format mesh IO,
-// Delaunay edge flipping, DIMACS CNF IO, and structural MST verification.
+// Tests for the extensions beyond the paper's core: mesh quality metrics,
+// Triangle-format mesh IO, Delaunay edge flipping, DIMACS CNF IO, and
+// structural MST verification.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -11,117 +11,11 @@
 #include "dmr/quality.hpp"
 #include "dmr/refine.hpp"
 #include "graph/generators.hpp"
-#include "graph/scc.hpp"
 #include "mst/mst.hpp"
-#include "pta/cycle_elim.hpp"
 #include "sp/cnf.hpp"
 
 namespace morph {
 namespace {
-
-// ---- SCC ----
-
-TEST(Scc, ChainHasSingletonComponents) {
-  const graph::Edge edges[] = {{0, 1, 1}, {1, 2, 1}, {2, 3, 1}};
-  auto g = graph::CsrGraph::from_edges(4, edges, false);
-  const auto scc = graph::strongly_connected_components(g);
-  EXPECT_EQ(scc.num_components, 4u);
-}
-
-TEST(Scc, CycleCollapses) {
-  const graph::Edge edges[] = {{0, 1, 1}, {1, 2, 1}, {2, 0, 1}, {2, 3, 1}};
-  auto g = graph::CsrGraph::from_edges(4, edges, false);
-  const auto scc = graph::strongly_connected_components(g);
-  EXPECT_EQ(scc.num_components, 2u);
-  EXPECT_EQ(scc.component[0], scc.component[1]);
-  EXPECT_EQ(scc.component[1], scc.component[2]);
-  EXPECT_NE(scc.component[3], scc.component[0]);
-}
-
-TEST(Scc, TwoIndependentCyclesAndBridge) {
-  const graph::Edge edges[] = {{0, 1, 1}, {1, 0, 1}, {2, 3, 1},
-                               {3, 2, 1}, {1, 2, 1}};
-  auto g = graph::CsrGraph::from_edges(4, edges, false);
-  const auto scc = graph::strongly_connected_components(g);
-  EXPECT_EQ(scc.num_components, 2u);
-  EXPECT_EQ(scc.component[0], scc.component[1]);
-  EXPECT_EQ(scc.component[2], scc.component[3]);
-}
-
-TEST(Scc, ReverseTopologicalNumbering) {
-  // Tarjan emits components in reverse topological order: a component is
-  // numbered before everything that can reach it.
-  const graph::Edge edges[] = {{0, 1, 1}, {1, 2, 1}};
-  auto g = graph::CsrGraph::from_edges(3, edges, false);
-  const auto scc = graph::strongly_connected_components(g);
-  EXPECT_LT(scc.component[2], scc.component[1]);
-  EXPECT_LT(scc.component[1], scc.component[0]);
-}
-
-TEST(Scc, HandlesDeepChainIteratively) {
-  // 100k-node path: a recursive Tarjan would overflow the stack.
-  std::vector<graph::Edge> edges;
-  const graph::Node n = 100000;
-  for (graph::Node i = 0; i + 1 < n; ++i) edges.push_back({i, i + 1, 1});
-  auto g = graph::CsrGraph::from_edges(n, edges, false);
-  EXPECT_EQ(graph::strongly_connected_components(g).num_components, n);
-}
-
-// ---- PTA cycle elimination ----
-
-TEST(CycleElim, CollapsesCopyCycles) {
-  pta::ConstraintSet cs;
-  cs.num_vars = 4;
-  cs.constraints = {
-      {pta::ConstraintKind::kCopy, 1, 0},
-      {pta::ConstraintKind::kCopy, 2, 1},
-      {pta::ConstraintKind::kCopy, 0, 2},
-      {pta::ConstraintKind::kAddressOf, 0, 3},
-  };
-  const pta::ReducedProgram r = pta::collapse_copy_cycles(cs);
-  EXPECT_EQ(r.cycles_collapsed, 1u);
-  EXPECT_EQ(r.rep[0], r.rep[1]);
-  EXPECT_EQ(r.rep[1], r.rep[2]);
-  EXPECT_EQ(r.rep[0], 0u);  // minimum member
-  // Intra-cycle copies become vacuous and are dropped.
-  std::size_t copies = 0;
-  for (const auto& c : r.reduced.constraints) {
-    copies += (c.kind == pta::ConstraintKind::kCopy) ? 1 : 0;
-  }
-  EXPECT_EQ(copies, 0u);
-}
-
-class CycleElimSweep : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(CycleElimSweep, SameFixedPointAsSerial) {
-  const pta::ConstraintSet cs = pta::synthetic_program(800, 1100, GetParam());
-  const pta::PtsSets ser = pta::solve_serial(cs);
-  gpu::Device dev;
-  std::uint32_t cycles = 0;
-  const pta::PtsSets got = pta::solve_gpu_cycle_elim(cs, dev, {}, nullptr,
-                                                     &cycles);
-  EXPECT_TRUE(pta::equal_pts(ser, got));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CycleElimSweep,
-                         ::testing::Values(1, 2, 3, 4, 5));
-
-TEST(CycleElim, ReducesModeledTimeWhenCyclesExist) {
-  // A workload with a fat artificial copy cycle.
-  pta::ConstraintSet cs = pta::synthetic_program(1000, 1200, 9);
-  for (pta::Var v = 0; v < 50; ++v) {
-    cs.constraints.push_back(
-        {pta::ConstraintKind::kCopy, (v + 1) % 50, v});
-  }
-  gpu::Device d1, d2;
-  pta::PtaStats s1, s2;
-  std::uint32_t cycles = 0;
-  const pta::PtsSets plain = pta::solve_gpu(cs, d1, {}, &s1);
-  const pta::PtsSets ce = pta::solve_gpu_cycle_elim(cs, d2, {}, &s2, &cycles);
-  EXPECT_TRUE(pta::equal_pts(plain, ce));
-  EXPECT_GE(cycles, 1u);
-  EXPECT_LT(s2.modeled_cycles, s1.modeled_cycles);
-}
 
 // ---- quality metrics ----
 

@@ -57,28 +57,6 @@ TEST(Csr, AvgDegree) {
   EXPECT_DOUBLE_EQ(g.avg_degree(), 1.0);
 }
 
-TEST(Csr, PermutedPreservesStructure) {
-  const Edge edges[] = {{0, 1, 4}, {1, 2, 6}, {0, 2, 8}};
-  auto g = CsrGraph::from_undirected_edges(3, edges);
-  const Node perm[] = {2, 0, 1};
-  auto p = g.permuted(perm);
-  EXPECT_EQ(p.num_edges(), g.num_edges());
-  EXPECT_TRUE(p.validate(true));
-  // Degree multiset is invariant.
-  std::multiset<std::uint32_t> d1, d2;
-  for (Node u = 0; u < 3; ++u) {
-    d1.insert(g.degree(u));
-    d2.insert(p.degree(u));
-  }
-  EXPECT_EQ(d1, d2);
-  // Edge (0,1,w=4) becomes (2,0,w=4).
-  bool found = false;
-  for (EdgeId e = p.row_begin(2); e < p.row_end(2); ++e) {
-    if (p.edge_dst(e) == 0 && p.edge_weight(e) == 4) found = true;
-  }
-  EXPECT_TRUE(found);
-}
-
 TEST(Generators, RandomUniformProducesExactCountNoDupes) {
   auto edges = gen_random_uniform(100, 300, 50, 7);
   EXPECT_EQ(edges.size(), 300u);
@@ -135,11 +113,6 @@ TEST(Generators, RoadLikeIsConnectedAndSparse) {
   UnionFind uf(2000);
   for (const Edge& e : edges) uf.unite(e.src, e.dst);
   EXPECT_EQ(uf.num_sets(), 1u) << "backbone must connect the graph";
-}
-
-TEST(Generators, MaxNodePlusOne) {
-  std::vector<Edge> edges = {{3, 9, 1}, {1, 2, 1}};
-  EXPECT_EQ(max_node_plus_one(edges), 10u);
 }
 
 TEST(UnionFind, BasicUniteFind) {

@@ -189,6 +189,27 @@ TEST(IncrementalMst, NonForestDeleteKeepsForest) {
   EXPECT_EQ(mst::state_digest(st), before);  // forest untouched
 }
 
+TEST(IncrementalMst, StateDigestIsPinned) {
+  // Session replies carry the digest, so its value is wire format.
+  const std::vector<Edge> base = {{0, 1, 1}, {1, 2, 2}, {0, 2, 10}};
+  gpu::Device dev;
+  const mst::MstState st = mst::make_mst_state(3, base, dev);
+  EXPECT_EQ(mst::state_digest(st), 10374227410982463681ull);
+}
+
+TEST(IncrementalPta, StateDigestIsPinned) {
+  const std::vector<pta::Constraint> cs = {
+      {pta::ConstraintKind::kAddressOf, 0, 1},
+      {pta::ConstraintKind::kAddressOf, 1, 2},
+      {pta::ConstraintKind::kCopy, 3, 0},
+      {pta::ConstraintKind::kLoad, 2, 3},
+  };
+  gpu::Device dev;
+  pta::PtaState st = pta::make_pta_state(4);
+  pta::apply_updates(st, cs, dev);
+  EXPECT_EQ(pta::state_digest(st), 14013825324985308263ull);
+}
+
 TEST(IncrementalPta, MatchesScratchAndIsWorkerInvariant) {
   const pta::ConstraintSet all = pta::synthetic_program(400, 1200, 11);
   std::vector<std::vector<std::uint64_t>> per_config;

@@ -6,57 +6,14 @@
 #include "dmr/quality.hpp"
 #include "dmr/refine.hpp"
 #include "graph/generators.hpp"
-#include "graph/scc.hpp"
 #include "mst/mst.hpp"
-#include "pta/cycle_elim.hpp"
+#include "pta/solve.hpp"
 #include "sp/cnf.hpp"
 #include "sp/survey.hpp"
 #include "support/rng.hpp"
 
 namespace morph {
 namespace {
-
-// ---- SCC vs a brute-force reachability oracle ----
-
-class SccFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SccFuzz, MatchesReachabilityOracle) {
-  Rng rng(GetParam());
-  const graph::Node n = 40;
-  std::vector<graph::Edge> edges;
-  const std::size_t m = 60 + rng.next_below(60);
-  for (std::size_t i = 0; i < m; ++i) {
-    edges.push_back({static_cast<graph::Node>(rng.next_below(n)),
-                     static_cast<graph::Node>(rng.next_below(n)), 1});
-  }
-  auto g = graph::CsrGraph::from_edges(n, edges, false);
-  const auto scc = graph::strongly_connected_components(g);
-
-  // Floyd-Warshall reachability.
-  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
-  for (graph::Node u = 0; u < n; ++u) {
-    reach[u][u] = true;
-    for (graph::Node v : g.neighbors(u)) reach[u][v] = true;
-  }
-  for (graph::Node k = 0; k < n; ++k) {
-    for (graph::Node i = 0; i < n; ++i) {
-      if (!reach[i][k]) continue;
-      for (graph::Node j = 0; j < n; ++j) {
-        if (reach[k][j]) reach[i][j] = true;
-      }
-    }
-  }
-  for (graph::Node u = 0; u < n; ++u) {
-    for (graph::Node v = 0; v < n; ++v) {
-      const bool same = reach[u][v] && reach[v][u];
-      EXPECT_EQ(scc.component[u] == scc.component[v], same)
-          << "nodes " << u << " and " << v;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SccFuzz,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 // ---- DMR across quality bounds and drivers ----
 
@@ -144,12 +101,11 @@ TEST_P(PtaFuzz, AllSolversAgreeOnDenseLoadStorePrograms) {
     cs.constraints.push_back(c);
   }
   const pta::PtsSets ser = pta::solve_serial(cs);
-  gpu::Device d1, d2, d3;
+  gpu::Device d1, d2;
   EXPECT_TRUE(pta::equal_pts(ser, pta::solve_gpu(cs, d1)));
   pta::PtaOptions push;
   push.push_based = true;
   EXPECT_TRUE(pta::equal_pts(ser, pta::solve_gpu(cs, d2, push)));
-  EXPECT_TRUE(pta::equal_pts(ser, pta::solve_gpu_cycle_elim(cs, d3)));
   cpu::ParallelRunner runner;
   EXPECT_TRUE(pta::equal_pts(ser, pta::solve_multicore(cs, runner)));
 }

@@ -149,19 +149,6 @@ TEST(SeededRaces, ReadsAndAtomicsAreNotRaces) {
   EXPECT_TRUE(san.clean()) << san.findings().front().to_string();
 }
 
-TEST(SeededRaces, AnnotatedRangeIsExempt) {
-  Sanitizer san;
-  gpu::Device dev = sanitized_device(san);
-  double cells[4] = {0, 0, 0, 0};
-  san.annotate_racy(cells, sizeof(cells),
-                    "relaxed accumulation; convergence tolerates staleness");
-  dev.launch({2, 1, "clean.annotated"}, [&](gpu::ThreadCtx& ctx) {
-    ctx.san()->on_access(ctx.block(), &cells[1], sizeof(double),
-                         Sanitizer::Access::kWrite);
-  });
-  EXPECT_TRUE(san.clean());
-}
-
 TEST(SeededRaces, SequentialPhaseIsOrdered) {
   Sanitizer san;
   gpu::Device dev = sanitized_device(san);

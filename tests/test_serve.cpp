@@ -8,6 +8,8 @@
 
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
@@ -47,6 +49,18 @@ using morph::serve::Scheduler;
 using morph::serve::SchedulerConfig;
 using morph::serve::SealedBatch;
 using morph::telemetry::Json;
+
+/// Lower-case hex of raw bytes, for pinning encoded records and blobs.
+std::string hex_bytes(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xFu];
+  }
+  return out;
+}
 
 // --- scheduler -------------------------------------------------------------
 
@@ -318,6 +332,13 @@ TEST(Scheduler, CheckpointBlobRoundTripsAtQuiescence) {
   ASSERT_TRUE(a.submit(JobKind::kSp, 3, 100.0, 0.0).accepted);
   drain(a);  // place everything: quiescent, but counters + bucket are live
   const std::string blob = a.checkpoint_blob();
+  // The blob is persisted in journal 'K' records: its encoding is pinned.
+  EXPECT_EQ(hex_bytes(blob),
+            "0000000000000002000000000000000100000000000000010000000000000002"
+            "0000000000000002000000000000000000000000000000000000000000000000"
+            "0000000000000000406900000000000000000000000000010000000000000001"
+            "406a400000000000000000000000000200000000000000004059000000000000"
+            "00000000000000014059000000000000");
 
   Scheduler b(cfg);
   ASSERT_TRUE(b.restore_blob(blob));
@@ -499,6 +520,26 @@ TEST(Journal, RecordsRoundTripThroughScan) {
   ::unlink(path.c_str());
 }
 
+TEST(Journal, AdmittedRecordBytesArePinned) {
+  // The on-disk encoding of one 'A' record (length, CRC-32, type, big-endian
+  // arrival, frame), pinned so a changed encoding cannot pass unnoticed.
+  const std::string path = temp_journal("pin");
+  ::unlink(path.c_str());
+  Journal j;
+  ASSERT_TRUE(j.open(nosync_journal(path)).ok());
+  ASSERT_TRUE(j.append_admitted(258, R"({"type":"flush"})").ok());
+  j.close();
+  std::ifstream in(path, std::ios::binary);
+  const std::string file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_GT(file.size(), 8u);
+  EXPECT_EQ(file.substr(0, 8), "MWALJRN1");
+  EXPECT_EQ(hex_bytes(file.substr(8)),
+            "00000019f95c3ec941000000000000010"
+            "27b2274797065223a22666c757368227d");
+  ::unlink(path.c_str());
+}
+
 TEST(Journal, CheckpointHidesEmittedHistory) {
   const std::string path = temp_journal("ckpt");
   ::unlink(path.c_str());
@@ -642,6 +683,41 @@ TEST(JobModel, OutOfRangePriorityIsRejected) {
   msg.set("priority", std::int64_t{8});
   JobRequest out;
   EXPECT_EQ(JobRequest::from_json(msg, &out).code(), StatusCode::kBadRequest);
+}
+
+TEST(JobModel, IntegerFieldsAreCheckedNotCast) {
+  // Each field must hold an integer in its range; anything else is a bad
+  // request, never a truncated, saturated or wrapped value.
+  const auto parse = [](const std::string& id, const std::string& priority,
+                        const std::string& params, JobRequest* out) {
+    const Json msg = Json::parse(R"({"type":"submit","id":)" + id +
+                                 R"(,"kind":"sp","priority":)" + priority +
+                                 R"(,"params":{"size":80,)" + params + "}}");
+    return JobRequest::from_json(msg, out);
+  };
+  JobRequest out;
+  ASSERT_TRUE(parse("3", "2", R"("sweeps":4294967295)", &out).ok());
+  EXPECT_EQ(out.id, 3u);
+  EXPECT_EQ(out.priority, 2u);
+  EXPECT_EQ(out.spec.size, 80u);
+  EXPECT_EQ(out.spec.sweeps, 4294967295u);
+  for (const char* bad_params :
+       {R"("size2":1e30)", R"("size2":1.5)", R"("size2":-1)",
+        R"("sweeps":4294967296)", R"("phases":-1)",
+        R"("seed":99999999999999999999)"}) {
+    const Status s = parse("3", "2", bad_params, &out);
+    EXPECT_EQ(s.code(), StatusCode::kBadRequest) << bad_params;
+  }
+  for (const char* bad_id : {"-1", "1.5", "1e30", "99999999999999999999"}) {
+    EXPECT_EQ(parse(bad_id, "2", R"("seed":1)", &out).code(),
+              StatusCode::kBadRequest)
+        << bad_id;
+  }
+  for (const char* bad_priority : {"-1", "1.5", "1e30"}) {
+    EXPECT_EQ(parse("3", bad_priority, R"("seed":1)", &out).code(),
+              StatusCode::kBadRequest)
+        << bad_priority;
+  }
 }
 
 TEST(Protocol, FrameDecoderReassemblesSplitFrames) {
@@ -932,7 +1008,9 @@ TEST_F(ServeEndToEnd, AdmissionRejectsAndBadRequestsComeBackTyped) {
   Json err;
   int raw_fd = -1;
   ASSERT_TRUE(morph::serve::connect_unix(cfg.socket_path, &raw_fd).ok());
-  ASSERT_TRUE(morph::serve::write_frame(raw_fd, bad).ok());
+  const std::string wire = morph::serve::encode_frame(bad);
+  ASSERT_EQ(::write(raw_fd, wire.data(), wire.size()),
+            static_cast<ssize_t>(wire.size()));
   ASSERT_TRUE(morph::serve::read_frame(raw_fd, &err).ok());
   EXPECT_EQ(err.at("type").as_string(), "error");
   EXPECT_EQ(err.at("code").as_string(), "bad-request");
@@ -970,6 +1048,28 @@ TEST_F(ServeEndToEnd, MalformedFramesGetTypedErrorsAndNeverWedgeTheServer) {
   ASSERT_TRUE(morph::serve::read_frame(fd, &err).ok());
   EXPECT_EQ(err.at("type").as_string(), "error");
   EXPECT_EQ(err.at("code").as_string(), "bad-request");
+  ::close(fd);
+
+  // Malformed arrival stamps: typed errors before the gate, which does not
+  // move, and the same connection still answers a valid frame.
+  ASSERT_TRUE(morph::serve::connect_unix(cfg.socket_path, &fd).ok());
+  for (const std::string stamp : {"-1", "0.5"}) {
+    const std::string doc = R"({"type":"flush","arrival":)" + stamp + "}";
+    const std::string frame =
+        raw_frame(static_cast<std::uint32_t>(doc.size()), doc);
+    ASSERT_EQ(::write(fd, frame.data(), frame.size()),
+              static_cast<ssize_t>(frame.size()));
+    ASSERT_TRUE(morph::serve::read_frame(fd, &err).ok());
+    EXPECT_EQ(err.at("type").as_string(), "error") << stamp;
+    EXPECT_EQ(err.at("code").as_string(), "bad-request") << stamp;
+  }
+  // Stamp 0 is still the gate's next turn: admitted, not a replay.
+  const std::string cancel = morph::serve::encode_frame(
+      Json::parse(R"({"type":"cancel","id":99,"arrival":0})"));
+  ASSERT_EQ(::write(fd, cancel.data(), cancel.size()),
+            static_cast<ssize_t>(cancel.size()));
+  ASSERT_TRUE(morph::serve::read_frame(fd, &err).ok());
+  EXPECT_EQ(err.at("type").as_string(), "cancelled") << err.dump();
   ::close(fd);
 
   // A client that dies mid-frame (header promised 100 bytes, 10 arrived).

@@ -129,28 +129,6 @@ TEST(Stats, GeomeanRejectsNonPositive) {
   EXPECT_THROW(geomean(xs), CheckError);
 }
 
-TEST(Stats, StddevBasic) {
-  const double xs[] = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  EXPECT_NEAR(stddev(xs), 2.138, 0.001);
-}
-
-TEST(Stats, MedianOddEven) {
-  const double odd[] = {3.0, 1.0, 2.0};
-  EXPECT_DOUBLE_EQ(median(odd), 2.0);
-  const double even[] = {4.0, 1.0, 3.0, 2.0};
-  EXPECT_DOUBLE_EQ(median(even), 2.5);
-}
-
-TEST(Stats, RunningStatsTracksMinMaxMeanSum) {
-  RunningStats rs;
-  for (double v : {3.0, -1.0, 5.0}) rs.add(v);
-  EXPECT_EQ(rs.count(), 3u);
-  EXPECT_DOUBLE_EQ(rs.min(), -1.0);
-  EXPECT_DOUBLE_EQ(rs.max(), 5.0);
-  EXPECT_DOUBLE_EQ(rs.sum(), 7.0);
-  EXPECT_NEAR(rs.mean(), 7.0 / 3.0, 1e-12);
-}
-
 TEST(Cli, ParsesFlagsAndDefaults) {
   const char* argv[] = {"prog", "--n=42", "--name=mesh", "--verbose",
                         "--ratio=4.2"};
