@@ -20,8 +20,8 @@
 //                       --fault-seed=<n> keys its probabilistic clauses.
 //   --sanitize=<spec>   arm the MorphSan hazard checker (docs/ANALYSIS.md)
 //                       on every device the bench constructs; <spec> is a
-//                       comma list of races,worklist,memory,barriers or
-//                       "all". The report is printed to stderr, a
+//                       comma list of races,worklist,memory or "all".
+//                       The report is printed to stderr, a
 //                       "sanitizer" section is added to --json output, and
 //                       the bench exits 4 if any hazard was found.
 //
@@ -74,7 +74,7 @@ class Bench {
       if (spec == "1") spec = "all";  // bare --sanitize arms everything
       if (!analysis::SanitizeOptions::parse(spec, &sopts)) {
         std::cerr << "error: --sanitize must be a comma list of "
-                     "races,worklist,memory,barriers or 'all' (got '"
+                     "races,worklist,memory or 'all' (got '"
                   << spec << "')\n";
         std::exit(2);
       }

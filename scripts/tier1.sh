@@ -81,8 +81,12 @@ echo "== tier 1: hazard sanitizer (MorphSan clean paths + byte-identity) =="
 # scales (exit 4 = findings), and attaching the sanitizer must not perturb
 # a single modeled metric: the JSON reports diff clean against unsanitized
 # runs (wall-clock metrics carry the diff tool's default tolerance).
+# ablate_worklist feeds the worklist class through refine_gpu_datadriven's
+# GlobalWorklist and ShardedWorklist; one host worker, because its central
+# arm's pop order depends on thread timing otherwise.
 for spec in "fig6_dmr_runtime --scale=64" "fig9_sp --scale=400" "fig10_pta" \
-            "fig11_mst --scale=16"; do
+            "fig11_mst --scale=16" \
+            "ablate_worklist --triangles=10000 --host-workers=1"; do
   set -- $spec
   name="$1"; shift
   "$BUILD/bench/$name" "$@" --json="$SMOKE/plain.json" > /dev/null

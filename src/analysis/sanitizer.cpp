@@ -29,15 +29,6 @@ const char* access_name(Sanitizer::Access a) {
   return "?";
 }
 
-std::string seq_string(const std::vector<std::uint32_t>& seq) {
-  std::string s = "[";
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    if (i) s += ",";
-    s += std::to_string(seq[i]);
-  }
-  return s + "]";
-}
-
 }  // namespace
 
 const char* hazard_class_name(HazardClass c) {
@@ -45,7 +36,6 @@ const char* hazard_class_name(HazardClass c) {
     case HazardClass::kRaces: return "races";
     case HazardClass::kWorklist: return "worklist";
     case HazardClass::kMemory: return "memory";
-    case HazardClass::kBarriers: return "barriers";
   }
   return "unknown";
 }
@@ -67,8 +57,6 @@ bool SanitizeOptions::parse(std::string_view spec, SanitizeOptions* out) {
       o.worklist = true;
     } else if (tok == "memory") {
       o.memory = true;
-    } else if (tok == "barriers") {
-      o.barriers = true;
     } else {
       return false;  // unknown token (includes empty tokens from ",,")
     }
@@ -80,7 +68,7 @@ bool SanitizeOptions::parse(std::string_view spec, SanitizeOptions* out) {
 }
 
 std::string SanitizeOptions::to_string() const {
-  if (races && worklist && memory && barriers) return "all";
+  if (races && worklist && memory) return "all";
   std::string s;
   const auto add = [&s](bool on, const char* name) {
     if (!on) return;
@@ -90,7 +78,6 @@ std::string SanitizeOptions::to_string() const {
   add(races, "races");
   add(worklist, "worklist");
   add(memory, "memory");
-  add(barriers, "barriers");
   return s.empty() ? "none" : s;
 }
 
@@ -143,19 +130,13 @@ void Sanitizer::add_finding(HazardClass cls, std::string kind,
 // --- launch lifecycle ----------------------------------------------------
 
 void Sanitizer::begin_launch(const std::string& label,
-                             std::uint32_t launch_ord, std::uint32_t blocks,
-                             std::uint32_t threads_per_block,
-                             std::uint32_t phases) {
+                             std::uint32_t launch_ord) {
   std::scoped_lock lock(mu_);
-  (void)phases;
   in_launch_ = true;
   label_ = label;
   launch_ord_ = launch_ord;
-  blocks_ = blocks;
-  tpb_ = threads_per_block;
   phase_ = 0;
   words_.clear();
-  arrivals_.clear();
 }
 
 void Sanitizer::begin_phase(std::uint32_t phase, bool ordered) {
@@ -163,16 +144,13 @@ void Sanitizer::begin_phase(std::uint32_t phase, bool ordered) {
   phase_ = phase;
   phase_ordered_ = ordered;
   words_.clear();
-  arrivals_.clear();
 }
 
 void Sanitizer::end_phase() {
   std::scoped_lock lock(mu_);
-  if (opts_.barriers) resolve_barriers();
   // The global barrier orders every access of this phase before every
   // access of the next: the word shadow resets.
   words_.clear();
-  arrivals_.clear();
 }
 
 void Sanitizer::end_launch() {
@@ -502,44 +480,6 @@ void Sanitizer::on_slot_write(const void* pool, std::uint32_t slot) {
   }
 }
 
-// --- barriers ------------------------------------------------------------
-
-void Sanitizer::on_barrier_arrive(std::uint32_t block,
-                                  std::uint32_t thread_in_block,
-                                  std::uint32_t barrier_id) {
-  if (!opts_.barriers) return;
-  std::scoped_lock lock(mu_);
-  arrivals_[{block, thread_in_block}].push_back(barrier_id);
-}
-
-void Sanitizer::resolve_barriers() {
-  if (arrivals_.empty()) return;
-  // The reference sequence: the first arriving thread of the launch. Every
-  // thread of every block must match it — the launches modeled here are
-  // bulk-synchronous, so a barrier skipped by one thread (or one block)
-  // hangs the launch on real hardware.
-  const auto& ref = arrivals_.begin()->second;
-  const auto ref_key = arrivals_.begin()->first;
-  bool reported = false;
-  for (std::uint32_t b = 0; b < blocks_ && !reported; ++b) {
-    for (std::uint32_t t = 0; t < tpb_; ++t) {
-      const auto it = arrivals_.find({b, t});
-      const std::vector<std::uint32_t> empty;
-      const auto& seq = it == arrivals_.end() ? empty : it->second;
-      if (seq == ref) continue;
-      add_finding(
-          HazardClass::kBarriers, "barrier-divergence", b,
-          "block " + std::to_string(b) + " thread " + std::to_string(t) +
-              " reached barrier sequence " + seq_string(seq) +
-              " but block " + std::to_string(ref_key.first) + " thread " +
-              std::to_string(ref_key.second) + " reached " +
-              seq_string(ref) + " — the launch deadlocks on real hardware");
-      reported = true;  // one finding per phase is enough to localize it
-      break;
-    }
-  }
-}
-
 // --- results -------------------------------------------------------------
 
 bool Sanitizer::clean() const {
@@ -605,7 +545,6 @@ void Sanitizer::reset() {
   heap_live_.clear();
   heap_freed_.clear();
   recycled_.clear();
-  arrivals_.clear();
   findings_.clear();
   for (std::uint64_t& c : counts_) c = 0;
   suppressed_ = 0;

@@ -2,12 +2,11 @@
 //
 // The paper's morph kernels live or die on disciplined concurrent structure
 // mutation: the 3-phase conflict protocol must make cavity commits disjoint,
-// worklist slots must follow the claim -> publish -> pop protocol, recycled
-// memory must not be touched in flight, and every thread of a launch must
-// cross the same barriers. Nothing in the simulator *checked* those
-// disciplines — a violation surfaced only when an answer or the byte-identity
-// gate broke. The Sanitizer turns each discipline into shadow state with
-// machine-checked transitions, attached per device via
+// worklist slots must follow the claim -> publish -> pop protocol, and
+// recycled memory must not be touched in flight. Nothing in the simulator
+// *checked* those disciplines — a violation surfaced only when an answer or
+// the byte-identity gate broke. The Sanitizer turns each discipline into
+// shadow state with machine-checked transitions, attached per device via
 // gpu::DeviceConfig::sanitize (and `--sanitize=<classes>` in the benches).
 //
 // Hazard classes (SanitizeOptions selects any subset):
@@ -16,13 +15,16 @@
 //             lockset-style checks over MarkTable ownership: overlapping
 //             neighborhoods accepted by two activities, and cavity commits
 //             not covered by the committing thread's ownership.
-//   worklist  lost updates / ABA on claim-commit slots: double claims,
-//             publication of unclaimed slots, pops of unpublished (in-flight)
-//             slots, double pops.
+//   worklist  lost updates / ABA on gpu::ClaimRing slots (the worklists'
+//             and the SlotRecycler's): double claims, publication of
+//             unclaimed slots, pops of unpublished (in-flight) slots,
+//             double pops.
 //   memory    use-after-free / double-free on DeviceHeap chunks,
 //             use-after-recycle / double-recycle on SlotRecycler slots.
-//   barriers  threads of one launch reaching different barrier sequences
-//             (ThreadCtx::sync_block annotations).
+//
+// There is no block-barrier class: the simulator runs each block's threads
+// to completion one after another, so a kernel cannot contain a block-level
+// barrier; global barriers are the phase boundaries of launch_phases.
 //
 // The checker is pure shadow state: it charges nothing to the cost model and
 // mutates nothing it observes, so modeled statistics are identical with and
@@ -44,14 +46,13 @@
 
 namespace morph::analysis {
 
-/// The four hazard classes `--sanitize=` selects between.
+/// The three hazard classes `--sanitize=` selects between.
 enum class HazardClass : std::uint8_t {
   kRaces = 0,
   kWorklist = 1,
   kMemory = 2,
-  kBarriers = 3,
 };
-inline constexpr std::size_t kNumHazardClasses = 4;
+inline constexpr std::size_t kNumHazardClasses = 3;
 
 const char* hazard_class_name(HazardClass c);
 
@@ -61,22 +62,20 @@ struct SanitizeOptions {
   bool races = false;
   bool worklist = false;
   bool memory = false;
-  bool barriers = false;
 
-  bool any() const { return races || worklist || memory || barriers; }
+  bool any() const { return races || worklist || memory; }
   bool enabled(HazardClass c) const {
     switch (c) {
       case HazardClass::kRaces: return races;
       case HazardClass::kWorklist: return worklist;
       case HazardClass::kMemory: return memory;
-      case HazardClass::kBarriers: return barriers;
     }
     return false;
   }
 
-  static SanitizeOptions all() { return {true, true, true, true}; }
+  static SanitizeOptions all() { return {true, true, true}; }
 
-  /// Parses a comma-separated class list ("races,worklist,memory,barriers")
+  /// Parses a comma-separated class list ("races,worklist,memory")
   /// or "all". Returns false (leaving *out untouched) on any unknown token
   /// or an empty spec.
   static bool parse(std::string_view spec, SanitizeOptions* out);
@@ -121,16 +120,14 @@ class Sanitizer {
 
   // --- launch lifecycle (called by gpu::Device) -------------------------
 
-  void begin_launch(const std::string& label, std::uint32_t launch_ord,
-                    std::uint32_t blocks, std::uint32_t threads_per_block,
-                    std::uint32_t phases);
+  void begin_launch(const std::string& label, std::uint32_t launch_ord);
   /// `ordered` means the phase's blocks are executed in a defined total
   /// order (Phase::sequential, or an armed fault campaign pinning block
   /// order): inter-block accesses within it are ordered by construction and
   /// are exempt from the race check.
   void begin_phase(std::uint32_t phase, bool ordered);
   /// The inter-phase global barrier: orders everything, so the per-phase
-  /// access history is resolved (barrier-divergence check) and cleared.
+  /// access history is cleared.
   void end_phase();
   void end_launch();
 
@@ -174,9 +171,9 @@ class Sanitizer {
   void on_wl_publish(const void* list, const char* name, std::uint64_t slot);
   void on_wl_pop(const void* list, const char* name, std::uint32_t block,
                  std::uint64_t slot);
-  /// Ring discarded (GlobalWorklist::reset): every slot returns to Free.
+  /// Ring discarded (ClaimRing::reset): every slot returns to Free.
   void on_wl_reset(const void* list);
-  /// Host-side compaction (ShardedWorklist::compact): the live window
+  /// Host-side compaction (ClaimRing::compact): the live window
   /// [head, commit) moves to the front of the ring; slot states follow.
   void on_wl_compact(const void* list, std::uint64_t head,
                      std::uint64_t commit);
@@ -202,16 +199,6 @@ class Sanitizer {
   /// constructed at the same address must start from a clean slate.
   void forget_pool(const void* pool);
 
-  // --- barrier divergence (barriers) ------------------------------------
-
-  /// A thread reached block-level barrier `barrier_id`
-  /// (gpu::ThreadCtx::sync_block). At the end of the phase, every thread of
-  /// every block must have arrived at the same barrier sequence; the
-  /// launches modeled here are bulk-synchronous, so the check is
-  /// launch-wide, not merely block-wide.
-  void on_barrier_arrive(std::uint32_t block, std::uint32_t thread_in_block,
-                         std::uint32_t barrier_id);
-
   // --- results ----------------------------------------------------------
 
   bool clean() const;
@@ -223,7 +210,7 @@ class Sanitizer {
   std::uint64_t suppressed() const;
   std::vector<std::pair<std::string, std::string>> intentional_notes() const;
 
-  /// Human-readable report ("sanitizer: clean (4 classes armed)" or the
+  /// Human-readable report ("sanitizer: clean (--sanitize=all)" or the
   /// finding list); benches print it to stderr.
   void report(std::ostream& os) const;
 
@@ -246,7 +233,6 @@ class Sanitizer {
   void add_finding(HazardClass cls, std::string kind, std::uintptr_t addr,
                    std::string detail);  // requires mu_ held
   std::string launch_label() const;  // requires mu_ held
-  void resolve_barriers();           // requires mu_ held
 
   SanitizeOptions opts_;
   mutable std::mutex mu_;
@@ -256,8 +242,6 @@ class Sanitizer {
   bool phase_ordered_ = true;
   std::string label_;
   std::uint32_t launch_ord_ = 0;
-  std::uint32_t blocks_ = 0;
-  std::uint32_t tpb_ = 0;
   std::uint32_t phase_ = 0;
 
   // races: per-phase word shadow + ownership.
@@ -275,15 +259,10 @@ class Sanitizer {
   std::unordered_map<const void*, std::unordered_set<std::uint32_t>>
       recycled_;
 
-  // barriers: per (block, thread) arrival sequences of the current phase.
-  std::map<std::pair<std::uint32_t, std::uint32_t>,
-           std::vector<std::uint32_t>>
-      arrivals_;
-
   // Results.
   static constexpr std::size_t kMaxFindings = 256;
   std::vector<Finding> findings_;
-  std::uint64_t counts_[kNumHazardClasses] = {0, 0, 0, 0};
+  std::uint64_t counts_[kNumHazardClasses] = {0, 0, 0};
   std::uint64_t suppressed_ = 0;
   std::vector<std::pair<std::string, std::string>> notes_;
 };

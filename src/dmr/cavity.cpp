@@ -1,6 +1,7 @@
 #include "dmr/cavity.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 namespace morph::dmr {
@@ -147,20 +148,31 @@ RetriangulateResult retriangulate(Mesh& m, const Cavity& c, double cos_bound,
   const Vtx p = m.add_point(c.center.x, c.center.y);
   res.new_vertex = p;
 
+  // Use-after-recycle check: every triangle slot this cavity writes is
+  // reported to the recycler's sanitizer before the write, so a slot still
+  // sitting in the free pool is caught here.
+  analysis::Sanitizer* const san = recycler ? recycler->sanitizer() : nullptr;
+  if (san) {
+    for (Tri t : c.tris) san->on_slot_write(recycler, t);
+    for (const FrontierEdge& f : c.frontier) {
+      if (f.outside != Mesh::kBoundary) san->on_slot_write(recycler, f.outside);
+    }
+  }
   for (Tri t : c.tris) m.mark_deleted(t);
 
-  // Create the fan of new triangles, one per frontier edge.
+  // Create the fan of new triangles, one per frontier edge, each in a
+  // recycled slot or else the next appended one.
   std::vector<Tri> created;
   created.reserve(c.frontier.size());
   for (const FrontierEdge& f : c.frontier) {
-    Tri slot = Mesh::kNone;
-    if (recycler) {
-      if (auto s = recycler->take()) slot = *s;
-    }
-    if (slot == Mesh::kNone) {
-      slot = m.add_triangle(p, f.a, f.b);
-    } else {
+    const std::optional<Tri> taken =
+        recycler ? recycler->take() : std::nullopt;
+    const Tri slot = taken ? *taken : static_cast<Tri>(m.num_slots());
+    if (san) san->on_slot_write(recycler, slot);
+    if (taken) {
       m.write_triangle(slot, p, f.a, f.b);
+    } else {
+      m.add_triangle(p, f.a, f.b);
     }
     created.push_back(slot);
   }

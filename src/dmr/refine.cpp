@@ -78,12 +78,10 @@ class GpuRefinement {
         sm_factor_(std::clamp(static_cast<double>(m.num_slots()) /
                                   (16384.0 * dev.config().num_sms),
                               3.0, 50.0)),
-        recycler_(opts.recycle ? 1u << 22 : 0u),
+        recycler_(opts.recycle ? 1u << 22 : 0u, dev.sanitizer()),
         launcher_(kInitialTpb, 3, sm_factor_),
         watchdog_(opts.watchdog_escalate_after, opts.watchdog_give_up_after),
-        marks_(m.num_slots()) {
-    recycler_.set_sanitizer(dev.sanitizer());
-  }
+        marks_(m.num_slots()) {}
 
   double sm_factor() const { return sm_factor_; }
   core::MarkTable& marks() { return marks_; }

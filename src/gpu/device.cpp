@@ -132,9 +132,7 @@ KernelStats Device::launch_phases(const LaunchConfig& lc,
   analysis::Sanitizer* const san = cfg_.sanitize;
   const std::uint32_t san_launch_ord = launch_ord_++;
   if (san) {
-    san->begin_launch(lc.label, san_launch_ord, lc.blocks,
-                      lc.threads_per_block,
-                      static_cast<std::uint32_t>(phases.size()));
+    san->begin_launch(lc.label, san_launch_ord);
   }
 
   // Per-block accumulators, written only by the (unique) executor of each

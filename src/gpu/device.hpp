@@ -98,14 +98,6 @@ class ThreadCtx {
   /// accessor is the one branch a detached device pays per hook site.
   analysis::Sanitizer* san() const;
 
-  /// Annotates a block-level barrier (__syncthreads) for the sanitizer's
-  /// barrier-divergence check. Charges nothing: the cost model already
-  /// prices barriers per phase, and the simulator runs a block's threads to
-  /// completion sequentially, so this is an annotation, not a control-flow
-  /// construct. Every thread of a launch must announce the same sequence of
-  /// `id`s — a divergent or skipped sync is reported at the phase boundary.
-  void sync_block(std::uint32_t id);
-
  private:
   friend class Device;
   std::uint32_t tid_ = 0;
@@ -219,10 +211,6 @@ class Device {
 
 inline analysis::Sanitizer* ThreadCtx::san() const {
   return dev_ ? dev_->sanitizer() : nullptr;
-}
-
-inline void ThreadCtx::sync_block(std::uint32_t id) {
-  if (analysis::Sanitizer* s = san()) s->on_barrier_arrive(block_, tib_, id);
 }
 
 }  // namespace morph::gpu

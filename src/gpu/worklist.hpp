@@ -1,4 +1,4 @@
-// Worklists (paper Sec. 7.5).
+// Worklists (paper Sec. 7.5) and the claim-then-publish ring under them.
 //
 // A centralized GlobalWorklist requires an atomic index per push/pop, which
 // the paper identifies as a bottleneck; a ShardedWorklist splits the work
@@ -7,19 +7,19 @@
 // produced by the memory-layout optimization (Mesh::compact_and_reorder)
 // makes a block's new work likely to land in its own shards.
 //
-// GlobalWorklist is safe for concurrent push/pop from any number of host
-// threads (block-parallel execution, DeviceConfig::host_workers > 1). Index
-// claims are CAS-bounded: a push can never reserve a slot past the capacity
-// and an empty pop can never advance the head, so the invariant
-// head <= commit <= tail <= capacity holds at all times.
+// Both lists, and the Recycle strategy's free pool (core::SlotRecycler),
+// store their items in a ClaimRing: the one lock-free index protocol of the
+// repo, safe for concurrent push/pop from any number of host threads
+// (block-parallel execution, DeviceConfig::host_workers > 1).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
-#include <vector>
+#include <string>
 
 #include "gpu/device.hpp"
 #include "support/check.hpp"
@@ -27,40 +27,148 @@
 
 namespace morph::gpu {
 
-/// Centralized worklist; every push/pop is an atomic index claim charged to
-/// the calling thread. Fixed capacity chosen at construction.
-///
-/// Concurrency: multi-producer multi-consumer. A push claims a slot with a
-/// capacity-bounded CAS on `tail_`, writes the item, then publishes it by
-/// advancing `commit_` in slot order; a pop claims an index with a
+/// Fixed-capacity multi-producer multi-consumer ring. A push claims a slot
+/// with a capacity-bounded CAS on `tail_`, writes the item, then publishes
+/// it by advancing `commit_` in slot order; a pop claims an index with a
 /// commit-bounded CAS on `head_`, so it can neither overrun the published
-/// items nor observe a slot whose write is still in flight.
+/// items nor observe a slot whose write is still in flight. A full push and
+/// an empty pop leave the indices untouched, so
+/// head <= commit <= tail <= capacity holds at all times; only the
+/// quiescent reset() and compact() move an index backwards.
+///
+/// Each transition is reported to the attached sanitizer's worklist shadow
+/// (analysis/sanitizer.hpp), keyed by the ring address and labelled `name`.
+/// Slots are not initialized: none is read before it is published.
+template <typename T>
+class ClaimRing {
+ public:
+  ClaimRing(std::size_t capacity, const char* name,
+            analysis::Sanitizer* san = nullptr)
+      : items_(std::make_unique_for_overwrite<T[]>(capacity)),
+        capacity_(capacity),
+        name_(name),
+        san_(san) {}
+
+  /// A successor ring constructed at this address must not inherit this
+  /// one's slot states.
+  ~ClaimRing() {
+    if (san_) san_->on_wl_reset(this);
+  }
+  ClaimRing(const ClaimRing&) = delete;
+  ClaimRing& operator=(const ClaimRing&) = delete;
+
+  std::size_t capacity() const { return capacity_; }
+  analysis::Sanitizer* sanitizer() const { return san_; }
+
+  /// Claims a slot, runs `on_claim()` (a caller's shadow hook that must
+  /// precede publication), writes `v` and publishes it. False when full.
+  /// `agent` is the executing block, or Sanitizer::kHostAgent.
+  template <typename OnClaim>
+  bool push(const T& v, std::uint32_t agent, OnClaim&& on_claim) {
+    std::uint64_t slot = tail_.load(std::memory_order_relaxed);
+    do {
+      if (slot >= capacity_) return false;
+    } while (!tail_.compare_exchange_weak(slot, slot + 1,
+                                          std::memory_order_relaxed));
+    if (san_) san_->on_wl_claim(this, name_, agent, slot);
+    on_claim();
+    items_[slot] = v;
+    // The publish hook precedes the commit CAS: once commit_ covers the
+    // slot a concurrent pop may legally claim it, so the shadow transition
+    // must already have happened.
+    if (san_) san_->on_wl_publish(this, name_, slot);
+    std::uint64_t expected = slot;
+    while (!commit_.compare_exchange_weak(expected, slot + 1,
+                                          std::memory_order_release,
+                                          std::memory_order_relaxed)) {
+      expected = slot;
+    }
+    return true;
+  }
+  bool push(const T& v,
+            std::uint32_t agent = analysis::Sanitizer::kHostAgent) {
+    return push(v, agent, [] {});
+  }
+
+  /// Claims and returns the oldest published item, or nullopt when empty.
+  std::optional<T> pop(std::uint32_t agent = analysis::Sanitizer::kHostAgent) {
+    std::uint64_t h = head_.load(std::memory_order_relaxed);
+    for (;;) {
+      if (h >= commit_.load(std::memory_order_acquire)) return std::nullopt;
+      if (head_.compare_exchange_weak(h, h + 1, std::memory_order_acq_rel,
+                                      std::memory_order_relaxed)) {
+        if (san_) san_->on_wl_pop(this, name_, agent, h);
+        return items_[h];
+      }
+    }
+  }
+
+  /// Published items not yet popped. Safe to call concurrently: the head
+  /// is read first (a pop's head CAS follows its commit read), so the
+  /// head-behind-commit invariant it checks holds for any interleaving.
+  std::size_t size() const {
+    const std::uint64_t h = head_.load(std::memory_order_acquire);
+    const std::uint64_t c = commit_.load(std::memory_order_acquire);
+    MORPH_CHECK_MSG(h <= c, name_ << " ring: head overran committed tail");
+    return static_cast<std::size_t>(c - h);
+  }
+
+  /// Discards all content. Quiescent only (no concurrent push/pop).
+  void reset() {
+    tail_.store(0, std::memory_order_relaxed);
+    commit_.store(0, std::memory_order_relaxed);
+    head_.store(0, std::memory_order_relaxed);
+    if (san_) san_->on_wl_reset(this);
+  }
+
+  /// Slot reclamation: shifts the live window [head, commit) to the front
+  /// of the ring. Quiescent only (no concurrent push/pop).
+  void compact() {
+    const std::uint64_t h = head_.load(std::memory_order_relaxed);
+    const std::uint64_t c = commit_.load(std::memory_order_relaxed);
+    if (h == 0) return;
+    if (san_) san_->on_wl_compact(this, h, c);
+    std::move(items_.get() + h, items_.get() + c, items_.get());
+    head_.store(0, std::memory_order_relaxed);
+    commit_.store(c - h, std::memory_order_relaxed);
+    tail_.store(c - h, std::memory_order_relaxed);
+  }
+
+ private:
+  std::unique_ptr<T[]> items_;
+  std::size_t capacity_;
+  const char* name_;
+  analysis::Sanitizer* san_;
+  std::atomic<std::uint64_t> tail_{0};    ///< next slot to reserve
+  std::atomic<std::uint64_t> commit_{0};  ///< slots published, <= tail_
+  std::atomic<std::uint64_t> head_{0};    ///< next index to pop, <= commit_
+};
+
+namespace detail {
+/// Worklist-shadow agent: the executing block for device-side ops, the host
+/// sentinel for protocol-driving code running outside a launch.
+inline std::uint32_t shadow_agent(const ThreadCtx& ctx) {
+  return ctx.device() ? ctx.block() : analysis::Sanitizer::kHostAgent;
+}
+}  // namespace detail
+
+/// Centralized worklist: a ClaimRing whose every push/pop is an atomic index
+/// claim charged to the calling thread. Fixed capacity chosen at
+/// construction.
 template <typename T>
 class GlobalWorklist {
  public:
   /// `dev` (optional) arms fault injection: an armed campaign can force
   /// kWorklistFull at any push opportunity (FaultClass::kGlobalWlOverflow).
   explicit GlobalWorklist(std::size_t capacity, Device* dev = nullptr)
-      : items_(capacity), dev_(dev), tail_(0), commit_(0), head_(0) {}
+      : ring_(capacity, "global", dev ? dev->sanitizer() : nullptr),
+        dev_(dev) {}
 
-  /// Slot shadow is keyed by the list address; a successor list constructed
-  /// at the same address must not inherit this one's slot states.
-  ~GlobalWorklist() {
-    if (analysis::Sanitizer* s = san()) s->on_wl_reset(this);
-  }
-  GlobalWorklist(const GlobalWorklist&) = delete;
-  GlobalWorklist& operator=(const GlobalWorklist&) = delete;
-
-  std::size_t capacity() const { return items_.size(); }
+  std::size_t capacity() const { return ring_.capacity(); }
 
   /// Discards all content. Must not race with push/pop (call between
   /// kernel launches only).
-  void reset() {
-    tail_.store(0, std::memory_order_relaxed);
-    commit_.store(0, std::memory_order_relaxed);
-    head_.store(0, std::memory_order_relaxed);
-    if (analysis::Sanitizer* s = san()) s->on_wl_reset(this);
-  }
+  void reset() { ring_.reset(); }
 
   /// Returns false when full (work is dropped to the next sweep). A failed
   /// push leaves the indices untouched.
@@ -81,30 +189,10 @@ class GlobalWorklist {
       return Status(StatusCode::kWorklistFull,
                     "global worklist overflow (injected)");
     }
-    std::uint64_t slot = tail_.load(std::memory_order_relaxed);
-    do {
-      if (slot >= items_.size()) {
-        return Status(StatusCode::kWorklistFull,
-                      "global worklist at capacity (" +
-                          std::to_string(items_.size()) + ")");
-      }
-    } while (!tail_.compare_exchange_weak(slot, slot + 1,
-                                          std::memory_order_relaxed));
-    if (analysis::Sanitizer* s = san()) {
-      s->on_wl_claim(this, "global", agent_of(ctx), slot);
-    }
-    items_[slot] = v;
-    // The publish hook precedes the commit CAS: once commit_ covers the
-    // slot a concurrent pop may legally claim it, so the shadow transition
-    // must already have happened.
-    if (analysis::Sanitizer* s = san()) s->on_wl_publish(this, "global", slot);
-    // Publish in slot order so a concurrent pop never claims an index whose
-    // item write has not completed.
-    std::uint64_t expected = slot;
-    while (!commit_.compare_exchange_weak(expected, slot + 1,
-                                          std::memory_order_release,
-                                          std::memory_order_relaxed)) {
-      expected = slot;
+    if (!ring_.push(v, detail::shadow_agent(ctx))) {
+      return Status(StatusCode::kWorklistFull,
+                    "global worklist at capacity (" +
+                        std::to_string(capacity()) + ")");
     }
     return Status::Ok();
   }
@@ -114,48 +202,20 @@ class GlobalWorklist {
   /// still delivered.
   std::optional<T> pop(ThreadCtx& ctx) {
     ctx.worklist_op(/*contended=*/true);
-    std::uint64_t h = head_.load(std::memory_order_relaxed);
-    for (;;) {
-      if (h >= commit_.load(std::memory_order_acquire)) return std::nullopt;
-      if (head_.compare_exchange_weak(h, h + 1, std::memory_order_relaxed)) {
-        if (analysis::Sanitizer* s = san()) {
-          s->on_wl_pop(this, "global", agent_of(ctx), h);
-        }
-        return items_[h];
-      }
-    }
+    return ring_.pop(detail::shadow_agent(ctx));
   }
 
-  /// Number of published elements currently enqueued. Safe to call
-  /// concurrently; the head-behind-commit invariant is checked.
-  std::size_t size() const {
-    const std::uint64_t c = commit_.load(std::memory_order_acquire);
-    const std::uint64_t h = head_.load(std::memory_order_relaxed);
-    MORPH_CHECK_MSG(h <= c, "GlobalWorklist: head overran committed tail");
-    return static_cast<std::size_t>(c - h);
-  }
+  /// Number of published elements currently enqueued.
+  std::size_t size() const { return ring_.size(); }
 
  private:
-  analysis::Sanitizer* san() const {
-    return dev_ ? dev_->sanitizer() : nullptr;
-  }
-  /// Shadow-state agent: the executing block for device-side ops, the host
-  /// sentinel for protocol-driving code running outside a launch.
-  static std::uint32_t agent_of(const ThreadCtx& ctx) {
-    return ctx.device() ? ctx.block() : analysis::Sanitizer::kHostAgent;
-  }
-
-  std::vector<T> items_;
-  Device* dev_ = nullptr;
-  std::atomic<std::uint64_t> tail_;    ///< next slot to reserve
-  std::atomic<std::uint64_t> commit_;  ///< slots published, <= tail_
-  std::atomic<std::uint64_t> head_;    ///< next index to pop, <= commit_
+  ClaimRing<T> ring_;  ///< first member: the shadow key is the list address
+  Device* dev_;
 };
 
 /// Sharded worklist: the paper's pseudo-partitioning (Sec. 7.5) lifted to
 /// the block-parallel host path. Work lives in `num_shards()` fixed-capacity
-/// rings; each ring uses the same claim-then-publish index protocol as
-/// GlobalWorklist, so any mix of concurrent pushes and pops is safe. The
+/// ClaimRings, so any mix of concurrent pushes and pops is safe. The
 /// point of sharding is that the *common* op touches a ring no other block
 /// claims from, so it is charged as plain work instead of an atomic
 /// (ThreadCtx::worklist_op), and the centralized list survives only as the
@@ -184,25 +244,19 @@ class ShardedWorklist {
   /// `dev` receives steal/spill deltas at each rebalance.
   ShardedWorklist(std::size_t shards, std::size_t shard_capacity,
                   Device* dev = nullptr, GlobalWorklist<T>* spill = nullptr)
-      : dev_(dev), spill_(spill), shards_(new Shard[shards]), count_(shards) {
+      : dev_(dev), spill_(spill) {
     MORPH_CHECK(shards > 0);
     MORPH_CHECK(shard_capacity > 0);
     for (std::size_t s = 0; s < shards; ++s) {
-      shards_[s].items.resize(shard_capacity);
-    }
-  }
-
-  /// Same address-keyed shadow rule as GlobalWorklist, per shard ring.
-  ~ShardedWorklist() {
-    if (analysis::Sanitizer* s = san()) {
-      for (std::size_t i = 0; i < count_; ++i) s->on_wl_reset(&shards_[i]);
+      rings_.emplace_back(shard_capacity, "shard",
+                          dev ? dev->sanitizer() : nullptr);
     }
   }
   ShardedWorklist(const ShardedWorklist&) = delete;
   ShardedWorklist& operator=(const ShardedWorklist&) = delete;
 
-  std::size_t num_shards() const { return count_; }
-  std::size_t shard_capacity() const { return shards_[0].items.size(); }
+  std::size_t num_shards() const { return rings_.size(); }
+  std::size_t shard_capacity() const { return rings_[0].capacity(); }
   std::uint64_t steals() const {
     return steals_.load(std::memory_order_relaxed);
   }
@@ -213,13 +267,7 @@ class ShardedWorklist {
   /// Discards all ring content (not the spill list, not the counters).
   /// Must not race with device-side ops (call between launches only).
   void reset() {
-    analysis::Sanitizer* const sa = san();
-    for (std::size_t s = 0; s < count_; ++s) {
-      shards_[s].tail.store(0, std::memory_order_relaxed);
-      shards_[s].commit.store(0, std::memory_order_relaxed);
-      shards_[s].head.store(0, std::memory_order_relaxed);
-      if (sa) sa->on_wl_reset(&shards_[s]);
-    }
+    for (ClaimRing<T>& ring : rings_) ring.reset();
   }
 
   // --- launch geometry: the per-launch shard-ownership map ---
@@ -230,7 +278,7 @@ class ShardedWorklist {
   /// Every shard has exactly one owner, which is what makes parallel-phase
   /// pops race-free by construction.
   ShardRange owned_range(std::uint32_t block, std::uint32_t blocks) const {
-    const std::size_t s = count_;
+    const std::size_t s = num_shards();
     if (blocks == 0) return {};
     if (static_cast<std::size_t>(blocks) >= s) {
       if (block < s) return {block, block + 1};
@@ -243,7 +291,7 @@ class ShardedWorklist {
   /// the first shard it owns, or block % shards for surplus blocks.
   std::size_t home_shard(std::uint32_t block, std::uint32_t blocks) const {
     const ShardRange r = owned_range(block, blocks);
-    return r.empty() ? block % count_ : r.lo;
+    return r.empty() ? block % num_shards() : r.lo;
   }
 
   /// The shard item `i` of an `n`-item pseudo-partitioned seed belongs to:
@@ -251,8 +299,8 @@ class ShardedWorklist {
   /// to the block that owns its partition after the layout pass.
   std::size_t partition_shard(std::uint64_t i, std::uint64_t n) const {
     if (n == 0) return 0;
-    const std::uint64_t s = i * count_ / n;
-    return static_cast<std::size_t>(s < count_ ? s : count_ - 1);
+    const std::uint64_t s = i * num_shards() / n;
+    return static_cast<std::size_t>(s < num_shards() ? s : num_shards() - 1);
   }
 
   // --- device-side operations ---
@@ -262,7 +310,7 @@ class ShardedWorklist {
   /// only when the item was truly dropped.
   Status push(ThreadCtx& ctx, std::size_t shard, const T& v) {
     ctx.worklist_op(/*contended=*/false);
-    if (ring_push(shard, v, agent_of(ctx))) return Status::Ok();
+    if (rings_[shard].push(v, detail::shadow_agent(ctx))) return Status::Ok();
     if (!spill_) {
       return Status(StatusCode::kWorklistFull,
                     "worklist shard full and no spill target attached");
@@ -275,7 +323,7 @@ class ShardedWorklist {
   /// Pops the oldest published item of `shard`, or nullopt when empty.
   std::optional<T> pop(ThreadCtx& ctx, std::size_t shard) {
     ctx.worklist_op(/*contended=*/false);
-    return ring_pop(shard, agent_of(ctx));
+    return rings_[shard].pop(detail::shadow_agent(ctx));
   }
 
   /// Pops from the shards owned by the calling thread's block, in ascending
@@ -290,16 +338,12 @@ class ShardedWorklist {
   }
 
   /// Published items currently in `shard`. Stable only while no pops run.
-  std::size_t shard_size(std::size_t s) const {
-    const std::uint64_t c = shards_[s].commit.load(std::memory_order_acquire);
-    const std::uint64_t h = shards_[s].head.load(std::memory_order_relaxed);
-    return static_cast<std::size_t>(c - h);
-  }
+  std::size_t shard_size(std::size_t s) const { return rings_[s].size(); }
 
   /// Total published items across all shards (excludes the spill list).
   std::size_t size() const {
     std::size_t n = 0;
-    for (std::size_t s = 0; s < count_; ++s) n += shard_size(s);
+    for (const ClaimRing<T>& ring : rings_) n += ring.size();
     return n;
   }
 
@@ -316,7 +360,7 @@ class ShardedWorklist {
     // Compact first: ring slots are claimed monotonically during a launch,
     // so without reclamation a long round-based run would exhaust slots (and
     // spill) while the rings sit near-empty.
-    for (std::size_t s = 0; s < count_; ++s) compact(s);
+    for (ClaimRing<T>& ring : rings_) ring.compact();
     // Spill drain: recovered items go to the emptiest shard (lowest index
     // on ties) so one overloaded partition cannot re-absorb its overflow.
     if (spill_) {
@@ -325,27 +369,24 @@ class ShardedWorklist {
         if (shard_size(dst) >= shard_capacity()) break;  // everything full
         auto v = spill_->pop(host);
         if (!v) break;
-        if (!ring_push(dst, *v)) {
-          // The chosen shard filled up concurrently-with-nothing (we are
-          // single-threaded here): only possible via capacity; put it back.
-          spill_->try_push(host, *v);
-          break;
-        }
+        // Compacted and quiescent, a ring below capacity has a free slot.
+        const bool pushed = rings_[dst].push(*v);
+        MORPH_CHECK_MSG(pushed, "rebalance: shard " << dst << " is full");
       }
     }
     // Even-out pass: fill each empty shard with half the richest shard's
     // items. Bounded by the shard count; richest is lowest-index on ties.
     std::uint64_t moved = 0;
-    for (std::size_t dst = 0; dst < count_; ++dst) {
+    for (std::size_t dst = 0; dst < num_shards(); ++dst) {
       if (shard_size(dst) != 0) continue;
       const std::size_t src = richest_shard();
       const std::size_t avail = shard_size(src);
       if (avail < 2) break;  // nothing worth splitting anywhere
       const std::size_t take = avail / 2;
       for (std::size_t i = 0; i < take; ++i) {
-        auto v = ring_pop(src);
+        auto v = rings_[src].pop();
         if (!v) break;
-        ring_push(dst, *v);
+        rings_[dst].push(*v);
         ++moved;
       }
     }
@@ -361,81 +402,9 @@ class ShardedWorklist {
   }
 
  private:
-  struct Shard {
-    std::vector<T> items;
-    std::atomic<std::uint64_t> tail{0};    ///< next slot to reserve
-    std::atomic<std::uint64_t> commit{0};  ///< slots published, <= tail
-    std::atomic<std::uint64_t> head{0};    ///< next index to pop, <= commit
-  };
-
-  analysis::Sanitizer* san() const {
-    return dev_ ? dev_->sanitizer() : nullptr;
-  }
-  static std::uint32_t agent_of(const ThreadCtx& ctx) {
-    return ctx.device() ? ctx.block() : analysis::Sanitizer::kHostAgent;
-  }
-
-  /// Capacity-bounded claim + in-order publication (GlobalWorklist's
-  /// protocol, per ring). False when the ring is at capacity. The shadow
-  /// publish precedes the commit CAS for the same reason as GlobalWorklist.
-  bool ring_push(std::size_t s, const T& v,
-                 std::uint32_t agent = analysis::Sanitizer::kHostAgent) {
-    Shard& sh = shards_[s];
-    std::uint64_t slot = sh.tail.load(std::memory_order_relaxed);
-    do {
-      if (slot >= sh.items.size()) return false;
-    } while (!sh.tail.compare_exchange_weak(slot, slot + 1,
-                                            std::memory_order_relaxed));
-    if (analysis::Sanitizer* sa = san()) {
-      sa->on_wl_claim(&sh, "shard", agent, slot);
-    }
-    sh.items[slot] = v;
-    if (analysis::Sanitizer* sa = san()) sa->on_wl_publish(&sh, "shard", slot);
-    std::uint64_t expected = slot;
-    while (!sh.commit.compare_exchange_weak(expected, slot + 1,
-                                            std::memory_order_release,
-                                            std::memory_order_relaxed)) {
-      expected = slot;
-    }
-    return true;
-  }
-
-  /// Host-side slot reclamation: shifts the live window to the front of the
-  /// ring. Quiescent only (no concurrent device-side ops).
-  void compact(std::size_t s) {
-    Shard& sh = shards_[s];
-    const std::uint64_t h = sh.head.load(std::memory_order_relaxed);
-    const std::uint64_t c = sh.commit.load(std::memory_order_relaxed);
-    if (h == 0) return;
-    if (analysis::Sanitizer* sa = san()) sa->on_wl_compact(&sh, h, c);
-    std::move(sh.items.begin() + static_cast<std::ptrdiff_t>(h),
-              sh.items.begin() + static_cast<std::ptrdiff_t>(c),
-              sh.items.begin());
-    sh.head.store(0, std::memory_order_relaxed);
-    sh.commit.store(c - h, std::memory_order_relaxed);
-    sh.tail.store(c - h, std::memory_order_relaxed);
-  }
-
-  std::optional<T> ring_pop(std::size_t s,
-                            std::uint32_t agent =
-                                analysis::Sanitizer::kHostAgent) {
-    Shard& sh = shards_[s];
-    std::uint64_t h = sh.head.load(std::memory_order_relaxed);
-    for (;;) {
-      if (h >= sh.commit.load(std::memory_order_acquire)) return std::nullopt;
-      if (sh.head.compare_exchange_weak(h, h + 1,
-                                        std::memory_order_relaxed)) {
-        if (analysis::Sanitizer* sa = san()) {
-          sa->on_wl_pop(&sh, "shard", agent, h);
-        }
-        return sh.items[h];
-      }
-    }
-  }
-
   std::size_t emptiest_shard() const {
     std::size_t best = 0;
-    for (std::size_t s = 1; s < count_; ++s) {
+    for (std::size_t s = 1; s < num_shards(); ++s) {
       if (shard_size(s) < shard_size(best)) best = s;
     }
     return best;
@@ -443,7 +412,7 @@ class ShardedWorklist {
 
   std::size_t richest_shard() const {
     std::size_t best = 0;
-    for (std::size_t s = 1; s < count_; ++s) {
+    for (std::size_t s = 1; s < num_shards(); ++s) {
       if (shard_size(s) > shard_size(best)) best = s;
     }
     return best;
@@ -451,8 +420,7 @@ class ShardedWorklist {
 
   Device* dev_ = nullptr;
   GlobalWorklist<T>* spill_ = nullptr;
-  std::unique_ptr<Shard[]> shards_;
-  std::size_t count_;
+  std::deque<ClaimRing<T>> rings_;  ///< a deque: rings do not move
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> spills_{0};
   std::uint64_t reported_steals_ = 0;  ///< host-side (rebalance) only

@@ -27,9 +27,14 @@ class Json {
   Json(std::int64_t v)
       : type_(Type::kNumber), num_(static_cast<double>(v)), int_(v),
         is_int_(true) {}
+  /// Values past int64 are held as the double the reader parses them to
+  /// (as_uint refuses both), never wrapped negative.
   Json(std::uint64_t v)
       : type_(Type::kNumber), num_(static_cast<double>(v)),
-        int_(static_cast<std::int64_t>(v)), is_int_(true) {}
+        is_int_(v <= static_cast<std::uint64_t>(
+                         std::numeric_limits<std::int64_t>::max())) {
+    if (is_int_) int_ = static_cast<std::int64_t>(v);
+  }
   Json(int v) : Json(static_cast<std::int64_t>(v)) {}
   Json(std::string s) : type_(Type::kString), str_(std::move(s)) {}
   Json(const char* s) : type_(Type::kString), str_(s) {}

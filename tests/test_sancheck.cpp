@@ -1,9 +1,9 @@
 // Tests for MorphSan (analysis/sanitizer.hpp): spec parsing, one seeded bug
-// per shadow-state machine transition (each hazard class gets at least two
-// planted hazards, each detected with a diagnostic naming kernel, phase and
-// address), clean-path runs of all four apps under --sanitize=all, and the
-// byte-identity guarantee (modeled statistics are unchanged by attaching the
-// checker).
+// per shadow-state machine transition (each of the three hazard classes gets
+// at least two planted hazards, each detected with a diagnostic naming
+// kernel, phase and address), clean-path runs of all four apps under
+// --sanitize=all, and the byte-identity guarantee (modeled statistics are
+// unchanged by attaching the checker).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +15,7 @@
 #include "analysis/sanitizer.hpp"
 #include "core/conflict.hpp"
 #include "core/strategies.hpp"
+#include "dmr/cavity.hpp"
 #include "dmr/delaunay.hpp"
 #include "dmr/refine.hpp"
 #include "gpu/device.hpp"
@@ -36,7 +37,7 @@ namespace {
 TEST(SanitizeOptions, ParseAll) {
   SanitizeOptions o;
   ASSERT_TRUE(SanitizeOptions::parse("all", &o));
-  EXPECT_TRUE(o.races && o.worklist && o.memory && o.barriers);
+  EXPECT_TRUE(o.races && o.worklist && o.memory);
   EXPECT_EQ(o.to_string(), "all");
 }
 
@@ -46,7 +47,6 @@ TEST(SanitizeOptions, ParseSubset) {
   EXPECT_TRUE(o.races);
   EXPECT_FALSE(o.worklist);
   EXPECT_TRUE(o.memory);
-  EXPECT_FALSE(o.barriers);
   EXPECT_EQ(o.to_string(), "races,memory");
   ASSERT_TRUE(SanitizeOptions::parse("worklist", &o));
   EXPECT_TRUE(o.worklist);
@@ -58,8 +58,9 @@ TEST(SanitizeOptions, RejectsUnknownAndEmpty) {
   EXPECT_FALSE(SanitizeOptions::parse("", &o));
   EXPECT_FALSE(SanitizeOptions::parse("races,bogus", &o));
   EXPECT_FALSE(SanitizeOptions::parse("races,,memory", &o));
+  EXPECT_FALSE(SanitizeOptions::parse("barriers", &o));  // not a class
   // A failed parse leaves the output untouched.
-  EXPECT_TRUE(o.races && o.worklist && o.memory && o.barriers);
+  EXPECT_TRUE(o.races && o.worklist && o.memory);
 }
 
 // --- helpers -------------------------------------------------------------
@@ -336,63 +337,50 @@ TEST(SeededMemory, HeapUseAfterFreeDetected) {
 
 TEST(SeededMemory, RecyclerDoubleGiveDetected) {
   Sanitizer san;
-  core::SlotRecycler rec(16);
-  rec.set_sanitizer(&san);
+  core::SlotRecycler rec(16, &san);
   EXPECT_TRUE(rec.give(3));
   EXPECT_TRUE(rec.give(3));  // the planted bug: freed twice, never re-taken
   EXPECT_TRUE(has_kind(san, "double-recycle"));
 }
 
 TEST(SeededMemory, RecyclerWriteWhilePooledDetected) {
-  Sanitizer san;
-  core::SlotRecycler rec(16);
-  rec.set_sanitizer(&san);
-  EXPECT_TRUE(rec.give(4));
-  san.on_slot_write(&rec, 4);  // the planted bug: mutating a pooled slot
-  EXPECT_TRUE(has_kind(san, "use-after-recycle"));
-  // give -> take -> write is the legal sequence.
-  san.reset();
-  ASSERT_EQ(rec.take().value(), 4u);
-  san.on_slot_write(&rec, 4);
-  EXPECT_TRUE(san.clean());
-}
-
-// --- seeded bugs: barriers ----------------------------------------------
-
-TEST(SeededBarriers, DivergentBarrierIdsDetected) {
-  Sanitizer san;
-  gpu::Device dev = sanitized_device(san);
-  dev.launch({2, 2, "seeded.barrier-ids"}, [&](gpu::ThreadCtx& ctx) {
-    // The planted bug: the blocks disagree on which barrier they reach.
-    ctx.sync_block(ctx.block() == 0 ? 1 : 2);
-  });
-  EXPECT_GE(san.finding_count(HazardClass::kBarriers), 1u);
-  std::vector<Finding> fs;
-  const Finding* f = first_of_kind(san, "barrier-divergence", fs);
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f->kernel, "seeded.barrier-ids");
-}
-
-TEST(SeededBarriers, SkippedBarrierDetected) {
-  Sanitizer san;
-  gpu::Device dev = sanitized_device(san);
-  dev.launch({1, 4, "seeded.barrier-skip"}, [&](gpu::ThreadCtx& ctx) {
-    ctx.sync_block(1);
-    // The planted bug: an early-returning thread skips the second barrier
-    // its block mates wait on — the classic intra-kernel hang.
-    if (ctx.thread_in_block() != 3) ctx.sync_block(2);
-  });
-  EXPECT_TRUE(has_kind(san, "barrier-divergence"));
-}
-
-TEST(SeededBarriers, UniformBarriersAreClean) {
-  Sanitizer san;
-  gpu::Device dev = sanitized_device(san);
-  dev.launch({3, 4, "clean.barriers"}, [&](gpu::ThreadCtx& ctx) {
-    ctx.sync_block(1);
-    ctx.sync_block(2);
-  });
-  EXPECT_TRUE(san.clean());
+  // The write check fed by production code: retriangulate reports every
+  // slot it writes. `plant` hands a live cavity triangle to the pool (the
+  // bug), behind enough spare deleted slots that the fan's take()s never
+  // reclaim it, so mark_deleted writes a slot that is still pooled.
+  const auto run = [](Sanitizer& san, bool plant) {
+    dmr::Mesh m = dmr::generate_input_mesh(200, 5);
+    const dmr::RefineOptions opts;
+    ASSERT_GT(m.compute_all_bad(opts.min_angle_deg), 0u);
+    dmr::Tri bad = 0;
+    while (m.is_deleted(bad) || !m.is_bad(bad)) ++bad;
+    const dmr::Cavity c = dmr::build_refinement_cavity(m, bad, false);
+    core::SlotRecycler rec(64, &san);
+    const auto v = m.verts(bad);  // a copy: add_triangle reallocates
+    for (std::size_t i = 0; i < c.frontier.size(); ++i) {
+      const dmr::Tri spare = m.add_triangle(v[0], v[1], v[2]);
+      m.mark_deleted(spare);
+      ASSERT_TRUE(rec.give(spare));
+    }
+    if (plant) {
+      ASSERT_TRUE(rec.give(c.tris.front()));
+    }
+    dmr::retriangulate(m, c, dmr::cos_of_deg(opts.min_angle_deg), &rec);
+    if (plant) {
+      std::vector<Finding> fs;
+      const Finding* f = first_of_kind(san, "use-after-recycle", fs);
+      ASSERT_NE(f, nullptr);
+      EXPECT_EQ(f->addr, c.tris.front());
+    }
+  };
+  Sanitizer planted;
+  run(planted, true);
+  EXPECT_GE(planted.finding_count(HazardClass::kMemory), 1u);
+  // give -> take -> write is the legal sequence: the same cavity with only
+  // the spare slots pooled is clean.
+  Sanitizer clean;
+  run(clean, false);
+  EXPECT_TRUE(clean.clean()) << clean.findings().front().to_string();
 }
 
 // --- clean path: the four apps under --sanitize=all ----------------------
@@ -539,8 +527,7 @@ TEST(Reporting, CounterEmittedAndReportFormats) {
   EXPECT_EQ(san.total_findings(),
             san.finding_count(HazardClass::kRaces) +
                 san.finding_count(HazardClass::kWorklist) +
-                san.finding_count(HazardClass::kMemory) +
-                san.finding_count(HazardClass::kBarriers));
+                san.finding_count(HazardClass::kMemory));
   std::ostringstream os;
   san.report(os);
   EXPECT_NE(os.str().find("inter-block-race"), std::string::npos);

@@ -718,6 +718,15 @@ TEST(JobModel, IntegerFieldsAreCheckedNotCast) {
               StatusCode::kBadRequest)
         << bad_priority;
   }
+  // The writer agrees with the reader: a seed past int64 serializes as its
+  // (double-rounded) value, never wrapped negative, and is then refused.
+  JobRequest big = small_job(JobKind::kSp, std::uint64_t{1} << 63);
+  big.id = 3;
+  const std::string frame = big.to_json().dump();
+  EXPECT_EQ(frame.find('-'), std::string::npos) << frame;
+  const Json back = Json::parse(frame);
+  EXPECT_EQ(back.at("params").at("seed").as_double(), 0x1p63);
+  EXPECT_EQ(JobRequest::from_json(back, &out).code(), StatusCode::kBadRequest);
 }
 
 TEST(Protocol, FrameDecoderReassemblesSplitFrames) {
