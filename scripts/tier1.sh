@@ -202,7 +202,7 @@ echo "== tier 1: perf (bench snapshot vs committed baseline) =="
 # is tight, with a little slack on the aggregate cycle counts so a
 # legitimately-moved metric points at the PR that moved it (regenerate the
 # baseline with scripts/bench_snapshot.sh when the move is intentional).
-BASELINE="BENCH_2026-10-17.json"
+BASELINE="BENCH_2026-10-19.json"
 if [[ -f "$BASELINE" ]]; then
   scripts/bench_snapshot.sh "$BUILD" "$SMOKE/snapshot.json" > /dev/null
   "$BUILD"/tools/morph-report diff "$BASELINE" "$SMOKE/snapshot.json" \

@@ -307,17 +307,40 @@ void Sanitizer::on_guarded_write(const void* domain, std::uint32_t block,
 
 // --- worklist ------------------------------------------------------------
 
+std::optional<Sanitizer::ListShadow::Slot> Sanitizer::ListShadow::state(
+    std::uint64_t slot) const {
+  const auto it = slots.find(slot);
+  if (it != slots.end()) return it->second;
+  if (slot < popped_below) return Slot::kPopped;
+  return std::nullopt;  // Free
+}
+
+void Sanitizer::ListShadow::mark_popped(std::uint64_t slot) {
+  if (slot < popped_below) {
+    slots.erase(slot);
+    return;
+  }
+  slots[slot] = Slot::kPopped;
+  for (auto it = slots.find(popped_below);
+       it != slots.end() && it->second == Slot::kPopped;
+       it = slots.find(popped_below)) {
+    slots.erase(it);
+    ++popped_below;
+  }
+}
+
 void Sanitizer::on_wl_claim(const void* list, const char* name,
                             std::uint32_t block, std::uint64_t slot) {
   if (!opts_.worklist) return;
   std::scoped_lock lock(mu_);
   ListShadow& sh = lists_[list];
   if (sh.name.empty()) sh.name = name;
-  auto [it, fresh] = sh.slots.try_emplace(slot, ListShadow::Slot::kClaimed);
-  if (fresh) return;
-  const char* state = it->second == ListShadow::Slot::kClaimed
+  const std::optional<ListShadow::Slot> was = sh.state(slot);
+  sh.slots[slot] = ListShadow::Slot::kClaimed;
+  if (!was) return;
+  const char* state = *was == ListShadow::Slot::kClaimed
                           ? "claimed (write in flight)"
-                          : it->second == ListShadow::Slot::kPublished
+                          : *was == ListShadow::Slot::kPublished
                                 ? "published"
                                 : "popped";
   add_finding(HazardClass::kWorklist, "slot-claim-collision", slot,
@@ -327,7 +350,6 @@ void Sanitizer::on_wl_claim(const void* list, const char* name,
                   " while already " + state +
                   " — a lost update: the first writer's item is "
                   "overwritten");
-  it->second = ListShadow::Slot::kClaimed;
 }
 
 void Sanitizer::on_wl_publish(const void* list, const char* name,
@@ -336,8 +358,7 @@ void Sanitizer::on_wl_publish(const void* list, const char* name,
   std::scoped_lock lock(mu_);
   ListShadow& sh = lists_[list];
   if (sh.name.empty()) sh.name = name;
-  auto it = sh.slots.find(slot);
-  if (it == sh.slots.end() || it->second != ListShadow::Slot::kClaimed) {
+  if (sh.state(slot) != ListShadow::Slot::kClaimed) {
     add_finding(HazardClass::kWorklist, "publish-unclaimed", slot,
                 std::string(sh.name) + " slot " + std::to_string(slot) +
                     " published without a preceding claim — the index "
@@ -354,15 +375,15 @@ void Sanitizer::on_wl_pop(const void* list, const char* name,
   if (sh.name.empty()) sh.name = name;
   const std::string agent =
       block == kHostAgent ? "<host>" : std::to_string(block);
-  auto it = sh.slots.find(slot);
-  if (it == sh.slots.end()) {
+  const std::optional<ListShadow::Slot> was = sh.state(slot);
+  if (!was) {
     add_finding(HazardClass::kWorklist, "pop-unwritten", slot,
                 std::string(sh.name) + " slot " + std::to_string(slot) +
                     " popped by block " + agent +
                     " but never claimed or written");
     return;
   }
-  switch (it->second) {
+  switch (*was) {
     case ListShadow::Slot::kClaimed:
       add_finding(HazardClass::kWorklist, "pop-inflight-write", slot,
                   std::string(sh.name) + " slot " + std::to_string(slot) +
@@ -380,13 +401,16 @@ void Sanitizer::on_wl_pop(const void* list, const char* name,
     case ListShadow::Slot::kPublished:
       break;  // the legal transition
   }
-  it->second = ListShadow::Slot::kPopped;
+  sh.mark_popped(slot);
 }
 
 void Sanitizer::on_wl_reset(const void* list) {
   std::scoped_lock lock(mu_);
   auto it = lists_.find(list);
-  if (it != lists_.end()) it->second.slots.clear();
+  if (it != lists_.end()) {
+    it->second.slots.clear();
+    it->second.popped_below = 0;
+  }
 }
 
 void Sanitizer::on_wl_compact(const void* list, std::uint64_t head,
@@ -394,14 +418,18 @@ void Sanitizer::on_wl_compact(const void* list, std::uint64_t head,
   std::scoped_lock lock(mu_);
   auto it = lists_.find(list);
   if (it == lists_.end()) return;
+  ListShadow& sh = it->second;
   std::unordered_map<std::uint64_t, ListShadow::Slot> moved;
   for (std::uint64_t s = head; s < commit; ++s) {
-    auto slot = it->second.slots.find(s);
-    if (slot != it->second.slots.end()) {
+    auto slot = sh.slots.find(s);
+    if (slot != sh.slots.end()) {
       moved.emplace(s - head, slot->second);
     }
   }
-  it->second.slots = std::move(moved);
+  sh.slots = std::move(moved);
+  // The popped prefix that stays inside the window moves with it.
+  sh.popped_below =
+      sh.popped_below > head ? std::min(sh.popped_below, commit) - head : 0;
 }
 
 // --- memory --------------------------------------------------------------

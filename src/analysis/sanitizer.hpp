@@ -37,6 +37,7 @@
 #include <iosfwd>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -224,10 +225,20 @@ class Sanitizer {
     bool has_write = false;
     bool all_atomic = true;
   };
+  /// One ring's slot states. A ring that is never reset (the SlotRecycler
+  /// pool) pops slot after slot for the whole run, so the prefix of popped
+  /// slots is kept as a bound, not as entries: the shadow holds only the
+  /// live window and stays as small as the ring's content.
   struct ListShadow {
     enum class Slot : std::uint8_t { kClaimed, kPublished, kPopped };
     std::string name;
-    std::unordered_map<std::uint64_t, Slot> slots;  ///< absent == Free
+    /// Absent == Free, or Popped below popped_below.
+    std::unordered_map<std::uint64_t, Slot> slots;
+    std::uint64_t popped_below = 0;  ///< every slot < this was popped
+
+    std::optional<Slot> state(std::uint64_t slot) const;
+    /// Records `slot` as popped and drops the entries the bound now covers.
+    void mark_popped(std::uint64_t slot);
   };
 
   void add_finding(HazardClass cls, std::string kind, std::uintptr_t addr,

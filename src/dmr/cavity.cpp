@@ -2,11 +2,32 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
 
 namespace morph::dmr {
 
 namespace {
+
+/// One fan vertex w of a retriangulation: the (up to two) new triangles
+/// that share the edge (p, w).
+struct FanEdge {
+  Vtx w = 0;
+  Tri t1 = Mesh::kNone, t2 = Mesh::kNone;
+};
+
+/// Per-host-thread scratch of the cavity hot path, reused across calls so
+/// that building and applying a cavity allocates nothing once warm (output
+/// vectors aside). Cavities are a handful of triangles, so membership tests
+/// are linear scans over these lists rather than hash lookups.
+struct Scratch {
+  std::vector<Tri> stack;      ///< expand(): triangles found, not yet popped
+  std::vector<Tri> created;    ///< retriangulate(): the new fan, in order
+  std::vector<FanEdge> fan;    ///< retriangulate(): fan edge pairing
+};
+thread_local Scratch scratch;
+
+bool contains(const std::vector<Tri>& v, Tri t) {
+  return std::find(v.begin(), v.end(), t) != v.end();
+}
 
 /// Containment test used for cavity expansion: p strictly inside the
 /// circumcircle of triangle t.
@@ -40,10 +61,10 @@ ExpandResult expand(const Mesh& m, Pt64 p, Tri start, bool use_float,
   ExpandResult r;
   c.tris.clear();
   c.frontier.clear();
-  std::vector<Tri> stack{start};
-  // Small meshes: a flat visited map is fine and keeps this allocation-light.
-  std::unordered_map<Tri, bool> in_cavity;
-  in_cavity[start] = true;
+  // Every triangle found so far is either still on the stack or already
+  // popped into c.tris: together they are the visited set.
+  std::vector<Tri>& stack = scratch.stack;
+  stack.assign(1, start);
   while (!stack.empty()) {
     const Tri t = stack.back();
     stack.pop_back();
@@ -70,10 +91,8 @@ ExpandResult expand(const Mesh& m, Pt64 p, Tri start, bool use_float,
         continue;
       }
       MORPH_CHECK(o != Mesh::kNone);
-      auto it = in_cavity.find(o);
-      if (it != in_cavity.end()) continue;  // already enqueued/visited
+      if (contains(c.tris, o) || contains(stack, o)) continue;  // visited
       if (circum_contains(m, o, p, use_float)) {
-        in_cavity[o] = true;
         stack.push_back(o);
       } else {
         c.frontier.push_back({a, b, o});
@@ -85,13 +104,18 @@ ExpandResult expand(const Mesh& m, Pt64 p, Tri start, bool use_float,
 
 }  // namespace
 
-std::vector<Tri> Cavity::neighborhood(const Mesh&) const {
-  std::vector<Tri> n = tris;
+void Cavity::neighborhood(std::vector<Tri>& out) const {
+  out.assign(tris.begin(), tris.end());
   for (const FrontierEdge& f : frontier) {
-    if (f.outside != Mesh::kBoundary) n.push_back(f.outside);
+    if (f.outside != Mesh::kBoundary) out.push_back(f.outside);
   }
-  std::sort(n.begin(), n.end());
-  n.erase(std::unique(n.begin(), n.end()), n.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+}
+
+std::vector<Tri> Cavity::neighborhood(const Mesh&) const {
+  std::vector<Tri> n;
+  neighborhood(n);
   return n;
 }
 
@@ -105,8 +129,12 @@ Cavity build_insertion_cavity(const Mesh& m, Tri start, Pt64 p) {
   return c;
 }
 
-Cavity build_refinement_cavity(const Mesh& m, Tri bad, bool use_float) {
-  Cavity c;
+void build_refinement_cavity(const Mesh& m, Tri bad, bool use_float,
+                             Cavity& c) {
+  c.ok = false;
+  c.open_fan = false;
+  c.fan_start = c.fan_end = 0;
+  c.steps = 0;
   // First attempt: the circumcenter of the bad triangle.
   const auto& v = m.verts(bad);
   c.center = circumcenter(m.point(v[0]), m.point(v[1]), m.point(v[2]));
@@ -124,7 +152,7 @@ Cavity build_refinement_cavity(const Mesh& m, Tri bad, bool use_float) {
         c.fan_start = a;
         c.fan_end = b;
       }
-      return c;
+      return;
     }
     // Encroached boundary segment: split it at its midpoint instead
     // (Ruppert's rule; may cascade to another segment).
@@ -136,6 +164,11 @@ Cavity build_refinement_cavity(const Mesh& m, Tri bad, bool use_float) {
     start = skip_tri;
   }
   MORPH_CHECK_MSG(false, "segment-split cascade did not settle");
+}
+
+Cavity build_refinement_cavity(const Mesh& m, Tri bad, bool use_float) {
+  Cavity c;
+  build_refinement_cavity(m, bad, use_float, c);
   return c;
 }
 
@@ -162,8 +195,8 @@ RetriangulateResult retriangulate(Mesh& m, const Cavity& c, double cos_bound,
 
   // Create the fan of new triangles, one per frontier edge, each in a
   // recycled slot or else the next appended one.
-  std::vector<Tri> created;
-  created.reserve(c.frontier.size());
+  std::vector<Tri>& created = scratch.created;
+  created.clear();
   for (const FrontierEdge& f : c.frontier) {
     const std::optional<Tri> taken =
         recycler ? recycler->take() : std::nullopt;
@@ -180,7 +213,8 @@ RetriangulateResult retriangulate(Mesh& m, const Cavity& c, double cos_bound,
   // Wire adjacencies. Across the frontier edge: the outside triangle (or
   // boundary). Around the fan: triangles sharing a (p, w) edge pair up; in
   // an open fan the two extreme (p, w) edges become new hull edges.
-  std::unordered_map<Vtx, std::pair<Tri, Tri>> fan;  // vertex -> up to 2 tris
+  std::vector<FanEdge>& fan = scratch.fan;
+  fan.clear();
   for (std::size_t i = 0; i < created.size(); ++i) {
     const Tri nt = created[i];
     const FrontierEdge& f = c.frontier[i];
@@ -191,16 +225,18 @@ RetriangulateResult retriangulate(Mesh& m, const Cavity& c, double cos_bound,
       m.set_neighbor(f.outside, back, nt);
     }
     for (Vtx w : {f.a, f.b}) {
-      auto [it, fresh] = fan.try_emplace(w, std::pair<Tri, Tri>{nt, Mesh::kNone});
-      if (!fresh) {
-        MORPH_CHECK_MSG(it->second.second == Mesh::kNone,
+      const auto it = std::find_if(fan.begin(), fan.end(),
+                                   [w](const FanEdge& e) { return e.w == w; });
+      if (it == fan.end()) {
+        fan.push_back({w, nt, Mesh::kNone});
+      } else {
+        MORPH_CHECK_MSG(it->t2 == Mesh::kNone,
                         "fan vertex shared by more than two new triangles");
-        it->second.second = nt;
+        it->t2 = nt;
       }
     }
   }
-  for (const auto& [w, pair] : fan) {
-    const auto [t1, t2] = pair;
+  for (const auto& [w, t1, t2] : fan) {
     if (t2 == Mesh::kNone) {
       // Open-fan extreme: (p, w) is a new hull edge.
       MORPH_CHECK_MSG(c.open_fan && (w == c.fan_start || w == c.fan_end),

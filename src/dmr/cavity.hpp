@@ -31,7 +31,9 @@ struct Cavity {
   std::uint64_t steps = 0;     ///< counted work (for the cost model)
 
   /// The conflict neighborhood: cavity triangles plus the ring of outside
-  /// triangles whose adjacency slots re-triangulation writes.
+  /// triangles whose adjacency slots re-triangulation writes, sorted and
+  /// unique. Written into `out`, whose capacity is reused.
+  void neighborhood(std::vector<Tri>& out) const;
   std::vector<Tri> neighborhood(const Mesh& m) const;
 };
 
@@ -46,6 +48,11 @@ Cavity build_insertion_cavity(const Mesh& m, Tri start, Pt64 p);
 /// `use_float` is set the containment tests run in single precision (the
 /// Fig. 8 row-7 optimization).
 Cavity build_refinement_cavity(const Mesh& m, Tri bad, bool use_float = false);
+/// The same, built into `out`: every field is overwritten and the vectors'
+/// capacity is reused, so a caller that keeps one `out` across calls (the
+/// serial and multicore drivers) allocates nothing once warm.
+void build_refinement_cavity(const Mesh& m, Tri bad, bool use_float,
+                             Cavity& out);
 
 struct RetriangulateResult {
   Vtx new_vertex = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/adaptive.hpp"
@@ -51,7 +50,11 @@ Mesh& laid_out(Mesh& m, const RefineOptions& opts) {
 /// any post-launch work stay with the drivers.
 class GpuRefinement {
  public:
-  /// Per-thread state of one round, indexed by global thread id.
+  /// Per-thread state of one round, indexed by global thread id. One Round
+  /// lives for the whole run: cav and hood keep their entries from round
+  /// to round and only grow with T, so an idle thread costs nothing to set
+  /// up. An entry is current only while cand[t] != Mesh::kNone; a stale
+  /// one is never read.
   struct Round {
     gpu::LaunchConfig lc;
     std::vector<Tri> cand;  ///< the thread's bad triangle, or Mesh::kNone
@@ -96,10 +99,12 @@ class GpuRefinement {
   std::int64_t bad_count() const { return bad_count_; }
 
   /// Opens a round: livelock injection, launch geometry (adaptive, or
-  /// `fixed_tpb` threads per block), mark reset, fresh per-thread state.
-  Round begin_round(const char* label) {
+  /// `fixed_tpb` threads per block), mark reset, per-thread state reset.
+  Round& begin_round(const char* label) {
     ++st_.rounds;
-    Round r;
+    Round& r = round_;
+    r.processed = r.aborted = 0;
+    r.injected_livelock = false;
     // A campaign's livelock clause forces priority ties for this round.
     if (dev_.fault_should_fire(resilience::FaultClass::kLivelock)) {
       marks_.set_force_ties(true);
@@ -117,9 +122,11 @@ class GpuRefinement {
     marks_.reset();
     const std::uint64_t T = r.lc.total_threads();
     r.cand.assign(T, Mesh::kNone);
-    r.cav.resize(T);
-    r.hood.resize(T);
     r.owns.assign(T, 0);
+    if (r.cav.size() < T) {
+      r.cav.resize(T);
+      r.hood.resize(T);
+    }
     return r;
   }
 
@@ -131,18 +138,20 @@ class GpuRefinement {
   /// thread. The modeled cost is unchanged; what it buys is a commit order
   /// that does not depend on host-thread interleaving, which makes whole
   /// refinement runs (mesh, stats, modeled cycles) deterministic for any
-  /// host_workers value. Returns the new triangles.
-  std::vector<Tri> commit(gpu::ThreadCtx& ctx, Round& r, std::uint32_t t) {
+  /// host_workers value. Returns the new triangles, valid until the next
+  /// commit.
+  const std::vector<Tri>& commit(gpu::ThreadCtx& ctx, Round& r,
+                                 std::uint32_t t) {
     // The guarded mutation the 3-phase protocol exists to protect: every
     // cavity element must be owned by this activity in the mark table.
     if (analysis::Sanitizer* s = ctx.san()) {
       s->on_guarded_write(&marks_, ctx.block(), t, r.hood[t]);
     }
-    std::vector<Tri> added;
-    apply(r.cav[t], &added);
-    ctx.work(r.cav[t].tris.size() + added.size());
+    added_.clear();
+    apply(r.cav[t], &added_);
+    ctx.work(r.cav[t].tris.size() + added_.size());
     ++r.processed;
-    return added;
+    return added_;
   }
 
   /// The 3-phase protocol's parallel middle phase: each candidate records
@@ -161,6 +170,16 @@ class GpuRefinement {
     if (r.injected_livelock) marks_.set_force_ties(false);
     st_.processed += r.processed;
     st_.aborted += r.aborted;
+
+    // Give back the storage of this round's cavities. Kept, it would add up
+    // over every thread that ever held a candidate; it is allocated on the
+    // host workers, whose allocator arenas keep such a peak resident after
+    // the run.
+    for (std::size_t t = 0; t < r.cand.size(); ++t) {
+      if (r.cand[t] == Mesh::kNone) continue;
+      r.cav[t] = Cavity{};
+      r.hood[t] = {};
+    }
 
     // Live-lock watchdog (Sec. 7.3 + docs/RESILIENCE.md): the 3-phase
     // protocol only terminates with high probability, so no-progress rounds
@@ -257,6 +276,8 @@ class GpuRefinement {
   RefineStats st_;
   std::int64_t bad_count_ = 0;
   core::MarkTable marks_;
+  Round round_;
+  std::vector<Tri> added_;  ///< commit()'s new triangles
 };
 
 }  // namespace
@@ -275,11 +296,12 @@ RefineStats refine_serial(Mesh& m, const RefineOptions& opts) {
   }
 
   std::vector<Tri> added;
+  Cavity c;
   while (!work.empty()) {
     const Tri t = work.back();
     work.pop_back();
     if (m.is_deleted(t) || !m.is_bad(t)) continue;
-    Cavity c = build_refinement_cavity(m, t, opts.use_float);
+    build_refinement_cavity(m, t, opts.use_float, c);
     added.clear();
     retriangulate(m, c, cb, opts.recycle ? &recycler : nullptr, &added);
     if (opts.recycle) {
@@ -314,30 +336,40 @@ RefineStats refine_multicore(Mesh& m, cpu::ParallelRunner& runner,
 
   std::vector<Tri> next;
   std::vector<Tri> added;
+  Cavity c;
+  std::vector<Tri> hood;
+  // Per-element speculation state: the round that last claimed the element
+  // (0 = never; rounds stay below kMaxRounds). Stamping with the round
+  // number clears every claim at once when a round ends; the table grows
+  // with the mesh.
+  static_assert(kMaxRounds <= UINT32_MAX);
+  std::vector<std::uint32_t> claimed_in(m.num_slots(), 0);
   while (!candidates.empty() && st.rounds < kMaxRounds) {
-    ++st.rounds;
+    const auto round = static_cast<std::uint32_t>(++st.rounds);
     next.clear();
-    // Per-round speculation state: element -> claiming item index.
-    std::unordered_map<Tri, std::uint64_t> claims;
     runner.round(candidates.size(), [&](cpu::WorkerCtx& ctx,
                                         std::uint64_t i) {
       const Tri t = candidates[i];
       ctx.work(1);
       if (m.is_deleted(t) || !m.is_bad(t)) return;
-      Cavity c = build_refinement_cavity(m, t, opts.use_float);
+      build_refinement_cavity(m, t, opts.use_float, c);
       ctx.work(c.steps);
-      const std::vector<Tri> hood = c.neighborhood(m);
+      c.neighborhood(hood);
       // Optimistic per-element locking, Galois style: abort on conflict.
+      // Items claim nothing before their check, so any claim this round
+      // is another item's.
       ctx.sync_op(hood.size());
+      if (claimed_in.size() < m.num_slots()) {
+        claimed_in.resize(m.num_slots() + m.num_slots() / 2, 0);
+      }
       for (Tri e : hood) {
-        auto it = claims.find(e);
-        if (it != claims.end() && it->second != i) {
+        if (claimed_in[e] == round) {
           ++st.aborted;
           next.push_back(t);  // retry next round
           return;
         }
       }
-      for (Tri e : hood) claims[e] = i;
+      for (Tri e : hood) claimed_in[e] = round;
       added.clear();
       retriangulate(m, c, cb, opts.recycle ? &recycler : nullptr, &added);
       ctx.work(c.tris.size() + added.size());
@@ -409,7 +441,7 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
   }
 
   while (run.more_rounds()) {
-    GpuRefinement::Round r = run.begin_round("dmr.refine");
+    GpuRefinement::Round& r = run.begin_round("dmr.refine");
     const std::uint64_t nslots = m.num_slots();
     const std::uint64_t T = r.lc.total_threads();
 
@@ -454,11 +486,11 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
         ctx.work(scanned);
       }
       if (target == Mesh::kNone) return;
-      r.cav[t] = build_refinement_cavity(m, target, opts.use_float);
+      build_refinement_cavity(m, target, opts.use_float, r.cav[t]);
       // Single-precision containment tests (Fig. 8 row 7): half the
       // arithmetic and memory traffic of the double-precision path.
       ctx.work(opts.use_float ? r.cav[t].steps / 2 : r.cav[t].steps);
-      r.hood[t] = r.cav[t].neighborhood(m);
+      r.cav[t].neighborhood(r.hood[t]);
       charge_locality(ctx, target, r.hood[t]);
       r.cand[t] = target;
       if (opts.scheme != core::ConflictScheme::kLocks) {
@@ -574,7 +606,7 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
   seed_worklist();
 
   while (run.more_rounds()) {
-    GpuRefinement::Round r = run.begin_round("dmr.refine.dd");
+    GpuRefinement::Round& r = run.begin_round("dmr.refine.dd");
 
     // Requeue a triangle for a later round; Status intentionally dropped on
     // a full list — the refill sweep below re-discovers lost work. Sharded:
@@ -612,9 +644,9 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
               break;
             }
           }
-          r.cav[t] = build_refinement_cavity(m, r.cand[t], opts.use_float);
+          build_refinement_cavity(m, r.cand[t], opts.use_float, r.cav[t]);
           ctx.work(opts.use_float ? r.cav[t].steps / 2 : r.cav[t].steps);
-          r.hood[t] = r.cav[t].neighborhood(m);
+          r.cav[t].neighborhood(r.hood[t]);
           charge_locality(ctx, r.cand[t], r.hood[t]);
           marks.race_mark(ctx, t, r.hood[t]);
         }, /*sequential=*/false},

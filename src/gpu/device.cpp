@@ -135,9 +135,11 @@ KernelStats Device::launch_phases(const LaunchConfig& lc,
     san->begin_launch(lc.label, san_launch_ord);
   }
 
-  // Per-block accumulators, written only by the (unique) executor of each
-  // block and reduced in ascending block order afterwards: the reduction is
-  // race-free and bit-identical for any host_workers value.
+  // Per-block accumulators. run_block sums a block into a stack-local
+  // BlockAcc and stores it to acc[b] once, so neighbouring blocks' slots
+  // (which share cache lines) are written once per block, not once per
+  // logical thread. The slots are reduced in ascending block order
+  // afterwards: race-free and bit-identical for any host_workers value.
   struct BlockAcc {
     std::uint64_t work = 0;
     std::uint64_t atomics = 0;
@@ -154,11 +156,12 @@ KernelStats Device::launch_phases(const LaunchConfig& lc,
   std::uint32_t stalls_this_launch = 0;
   for (std::size_t pi = 0; pi < phases.size(); ++pi) {
     const Phase& phase = phases[pi];
-    std::fill(acc.begin(), acc.end(), BlockAcc{});
 
     const auto run_block = [&](std::uint64_t b) {
-      BlockAcc& a = acc[b];
-      std::vector<std::uint64_t> warp_max(warps_per_block, 0);
+      BlockAcc a;
+      // Running max over the current warp's lanes; a warp's max is added to
+      // warp_steps when its last lane (or the block's last thread) is done.
+      std::uint64_t warp_max = 0;
 
       // Blocks are the unit of host parallelism; within a block threads run
       // in ascending order.
@@ -178,10 +181,14 @@ KernelStats Device::launch_phases(const LaunchConfig& lc,
         a.wl_local += ctx.wl_local_;
         a.wl_contended += ctx.wl_contended_;
         a.max_thread = std::max(a.max_thread, ctx.work_);
-        auto& wm = warp_max[tib / cfg_.warp_size];
-        wm = std::max(wm, ctx.work_);
+        warp_max = std::max(warp_max, ctx.work_);
+        if ((tib + 1) % cfg_.warp_size == 0 ||
+            tib + 1 == lc.threads_per_block) {
+          a.warp_steps += warp_max;
+          warp_max = 0;
+        }
       }
-      for (std::uint64_t wm : warp_max) a.warp_steps += wm;
+      acc[b] = a;
 
       // Recorded from the executing host worker into its own ring; the
       // flush order is deterministic regardless of which worker ran b.

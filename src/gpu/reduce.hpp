@@ -11,6 +11,11 @@
 // reductions. SP's sweep (max delta) and PTA's push-phase commit buffers
 // share this one implementation.
 //
+// Each slot sits on its own cache line: blocks run on different host
+// workers and fold into their slots once per thread, so slots sharing a
+// line would bounce it between cores (false sharing). The padding is host
+// layout only; the modeled numbers do not depend on it.
+//
 // Cost model: folding into the block slot is shared-memory-priced (free —
 // the work producing the value is already charged); the per-block winner
 // hits the global accumulator once, so the block representative charges a
@@ -31,7 +36,7 @@ class BlockReduce {
  public:
   BlockReduce(std::uint32_t blocks, T identity)
       : identity_(identity),
-        slots_(static_cast<std::size_t>(blocks), identity) {
+        slots_(static_cast<std::size_t>(blocks), Slot{identity}) {
     MORPH_CHECK(blocks > 0);
   }
 
@@ -57,7 +62,7 @@ class BlockReduce {
   template <typename Fold>
   T reduce(Fold&& fold) const {
     T acc = identity_;
-    for (const T& s : slots_) acc = fold(acc, s);
+    for (const Slot& s : slots_) acc = fold(acc, s.value);
     return acc;
   }
 
@@ -65,18 +70,25 @@ class BlockReduce {
   /// order instead of folding to a scalar (e.g. PTA's push phase).
   T& slot(std::uint32_t block) {
     MORPH_CHECK(block < slots_.size());
-    return slots_[block];
+    return slots_[block].value;
   }
   const T& slot(std::uint32_t block) const {
     MORPH_CHECK(block < slots_.size());
-    return slots_[block];
+    return slots_[block].value;
   }
 
-  void reset() { std::fill(slots_.begin(), slots_.end(), identity_); }
+  void reset() { std::fill(slots_.begin(), slots_.end(), Slot{identity_}); }
 
  private:
+  /// Host cache-line size assumed for padding (x86-64 and most AArch64).
+  static constexpr std::size_t kCacheLine = 64;
+  /// One block's slot, padded to a cache line of its own.
+  struct alignas(kCacheLine) Slot {
+    T value;
+  };
+
   T identity_;
-  std::vector<T> slots_;
+  std::vector<Slot> slots_;
 };
 
 }  // namespace morph::gpu

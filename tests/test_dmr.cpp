@@ -487,6 +487,60 @@ TEST(RefineGpu, StatsProcessedMatchesWorkDone) {
   EXPECT_GE(st.processed, st.initial_bad / 2);
 }
 
+// Exact results of the three round-based drivers on one seeded mesh. The
+// drivers' host-side scratch (per-thread round state reused across rounds,
+// the flat multicore claim table, the cavity path's inline lists) must not
+// move a single count or modeled cycle; any change here is a change in
+// behaviour, not in speed.
+TEST(RefineGpu, PinnedResultsOnSeededMesh) {
+  const Mesh base = generate_input_mesh(1500, 2026);
+  for (std::uint32_t workers : {1u, 2u}) {
+    gpu::DeviceConfig cfg;
+    cfg.host_workers = workers;
+    gpu::Device dev(cfg);
+    Mesh m = base;
+    const RefineStats st = refine_gpu(m, dev);
+    EXPECT_EQ(st.rounds, 157u);
+    EXPECT_EQ(st.processed, 3687u);
+    EXPECT_EQ(st.aborted, 42622u);
+    EXPECT_EQ(dev.stats().launches, 158u);
+    EXPECT_EQ(dev.stats().warp_steps, 448300u);
+    EXPECT_EQ(st.modeled_cycles, 1259280.2827500007);  // bitwise
+    EXPECT_EQ(st.final_triangles, 8530u);
+    expect_refined(m, "pinned gpu");
+  }
+}
+
+TEST(RefineGpuDataDriven, PinnedShardedResultsOnSeededMesh) {
+  Mesh m = generate_input_mesh(1500, 2026);
+  gpu::DeviceConfig cfg;
+  cfg.host_workers = 2;
+  gpu::Device dev(cfg);
+  RefineOptions opts;
+  opts.queue = DataDrivenQueue::kSharded;
+  const RefineStats st = refine_gpu_datadriven(m, dev, opts);
+  EXPECT_EQ(st.rounds, 89u);
+  EXPECT_EQ(st.processed, 3435u);
+  EXPECT_EQ(st.aborted, 24042u);
+  EXPECT_EQ(dev.stats().launches, 89u);
+  EXPECT_EQ(dev.stats().warp_steps, 239222u);
+  EXPECT_EQ(st.modeled_cycles, 718017.2559523813);  // bitwise
+  EXPECT_EQ(st.final_triangles, 8060u);
+  expect_refined(m, "pinned gpu data-driven sharded");
+}
+
+TEST(RefineMulticore, PinnedResultsOnSeededMeshAt48) {
+  Mesh m = generate_input_mesh(1500, 2026);
+  cpu::ParallelRunner runner({.workers = 48});
+  const RefineStats st = refine_multicore(m, runner);
+  EXPECT_EQ(st.rounds, 51u);
+  EXPECT_EQ(st.processed, 3588u);
+  EXPECT_EQ(st.aborted, 12387u);
+  EXPECT_EQ(st.modeled_cycles, 122253.0);
+  EXPECT_EQ(st.final_triangles, 8371u);
+  expect_refined(m, "pinned multicore");
+}
+
 TEST(Mesh, CompactAndReorderPreservesGeometry) {
   Mesh m = generate_input_mesh(800, 22);
   refine_serial(m);  // create deleted slots

@@ -169,6 +169,71 @@ TEST(Launch, StatsBitIdenticalAcrossHostWorkers) {
   }
 }
 
+TEST(Launch, WarpStepsMatchPerWarpReferenceWithPartialWarps) {
+  // Device::launch_phases folds each warp's max lane work into warp_steps
+  // as it goes. Blocks of 50 threads end in a partial warp at both warp
+  // sizes, and the heaviest lane of every block sits in that last warp, so
+  // a fold that drops or misattributes the tail warp shows here.
+  constexpr std::uint32_t kBlocks = 13, kTpb = 50;
+  const auto lane_work = [](std::uint32_t tid) -> std::uint64_t {
+    const std::uint32_t tib = tid % kTpb;
+    if (tib == kTpb - 1) return 100 + tid / kTpb;  // last, partial warp
+    return (tid * 2654435761u) % 11 + (tid % 3 == 0 ? 0 : 1);
+  };
+  for (std::uint32_t warp_size : {32u, 12u}) {
+    // Per-warp reference, summed over both phases (the second phase charges
+    // twice the first).
+    std::uint64_t ref_steps = 0, ref_max = 0;
+    double ref_step_cycles = 0.0;
+    DeviceConfig base;
+    base.warp_size = warp_size;
+    const std::uint32_t warps_per_block = (kTpb + warp_size - 1) / warp_size;
+    const double concurrency = std::min(
+        base.warp_slots(), static_cast<double>(kBlocks * warps_per_block));
+    for (std::uint64_t scale : {1u, 2u}) {
+      std::uint64_t phase_steps = 0;
+      for (std::uint32_t b = 0; b < kBlocks; ++b) {
+        for (std::uint32_t w = 0; w < warps_per_block; ++w) {
+          std::uint64_t wmax = 0;
+          for (std::uint32_t tib = w * warp_size;
+               tib < std::min(kTpb, (w + 1) * warp_size); ++tib) {
+            wmax = std::max(wmax, scale * lane_work(b * kTpb + tib));
+          }
+          phase_steps += wmax;
+          ref_max = std::max(ref_max, wmax);
+        }
+      }
+      ref_steps += phase_steps;
+      ref_step_cycles += static_cast<double>(phase_steps) * base.step_cost /
+                         std::max(concurrency, 1.0);
+    }
+    for (std::uint32_t workers : {1u, 2u, 4u}) {
+      DeviceConfig cfg = base;
+      cfg.host_workers = workers;
+      Device dev(cfg);
+      const Phase phases[2] = {
+          {[&](ThreadCtx& ctx) { ctx.work(lane_work(ctx.tid())); },
+           /*sequential=*/false},
+          {[&](ThreadCtx& ctx) { ctx.work(2 * lane_work(ctx.tid())); },
+           /*sequential=*/false},
+      };
+      const LaunchConfig lc{kBlocks, kTpb};
+      const KernelStats ks =
+          dev.launch_phases(lc, std::span<const Phase>(phases));
+      SCOPED_TRACE(testing::Message() << "warp_size=" << warp_size
+                                      << " host_workers=" << workers);
+      EXPECT_EQ(ks.warps, kBlocks * warps_per_block);
+      EXPECT_EQ(ks.warp_steps, ref_steps);
+      EXPECT_EQ(ks.max_thread_work, ref_max);
+      EXPECT_EQ(ks.max_thread_work, 2u * (100 + kBlocks - 1));
+      const double ref_cycles =
+          cfg.kernel_launch_overhead + ref_step_cycles +
+          dev.barrier_cycles(BarrierKind::kHierarchical, lc);
+      EXPECT_EQ(ks.modeled_cycles, ref_cycles);  // bitwise
+    }
+  }
+}
+
 TEST(Launch, SequentialPhaseRunsBlocksInAscendingOrder) {
   // A Phase marked sequential executes its blocks on the launching thread
   // in ascending block order even when the device has many workers — the

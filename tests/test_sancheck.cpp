@@ -274,6 +274,40 @@ TEST(SeededWorklist, PopOfUnwrittenSlotAndPublishUnclaimedDetected) {
   EXPECT_TRUE(has_kind(san, "publish-unclaimed"));
 }
 
+TEST(SeededWorklist, ReusedSlotsStillCheckedAfterManyPops) {
+  // The shadow keeps a ring's popped prefix as a bound instead of one entry
+  // per slot. A long-lived ring (the SlotRecycler pool) must still report a
+  // re-pop deep inside that prefix, an unwritten slot past it, and the same
+  // after a compaction moved the live window to the front.
+  Sanitizer san;
+  gpu::ClaimRing<int> ring(4096, "ring", &san);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(ring.push(i));
+    ASSERT_EQ(ring.pop(), i);
+  }
+  EXPECT_TRUE(san.clean());
+  san.on_wl_pop(&ring, "ring", 0, 10);    // popped long ago
+  EXPECT_EQ(san.finding_count(HazardClass::kWorklist), 1u);
+  EXPECT_TRUE(has_kind(san, "double-pop"));
+  san.on_wl_pop(&ring, "ring", 0, 1000);  // never claimed
+  EXPECT_TRUE(has_kind(san, "pop-unwritten"));
+  san.on_wl_claim(&ring, "ring", 0, 20);  // a popped slot claimed again
+  EXPECT_TRUE(has_kind(san, "slot-claim-collision"));
+
+  Sanitizer san2;
+  gpu::ClaimRing<int> ring2(16, "ring", &san2);
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(ring2.push(i));
+  for (int i = 0; i < 4; ++i) ASSERT_EQ(ring2.pop(), i);
+  ring2.compact();  // live window [4, 6) moves to [0, 2)
+  ASSERT_EQ(ring2.pop(), 4);
+  ASSERT_EQ(ring2.pop(), 5);
+  EXPECT_TRUE(san2.clean());
+  san2.on_wl_pop(&ring2, "ring", 0, 0);
+  EXPECT_TRUE(has_kind(san2, "double-pop"));
+  san2.on_wl_pop(&ring2, "ring", 0, 2);
+  EXPECT_TRUE(has_kind(san2, "pop-unwritten"));
+}
+
 TEST(SeededWorklist, CorrectProtocolIsClean) {
   Sanitizer san;
   gpu::Device dev = sanitized_device(san);
