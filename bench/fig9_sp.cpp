@@ -74,8 +74,9 @@ int run_bench(int argc, char** argv) {
                bench.fmt_ms(bench.model_ms(rg.modeled_cycles)),
                Table::num(speed_ratio, 1), Table::num(rg.wall_seconds, 2)});
 
-    auto& rep = bench.add_row("N" + Table::num(r.n_paper / 1e6, 0) + "M/K" +
-                              std::to_string(r.k));
+    std::string label("N");
+    label += Table::num(r.n_paper / 1e6, 0) + "M/K" + std::to_string(r.k);
+    auto& rep = bench.add_row(label);
     bench.add_device_metrics(rep, dev);
     rep.metric("galois48_modeled_cycles", mc_scaled)
         .metric("ratio", speed_ratio)

@@ -99,13 +99,10 @@ std::vector<Frame> build_frames(std::uint64_t updates, std::uint64_t rows,
   std::set<std::uint64_t> live_keys;
   std::vector<std::array<std::int64_t, 3>> live_edges;
   for (std::uint64_t b = 0; b < updates; ++b) {
-    Frame f;
-    f.kind = FrameKind::kUpdate;
-    f.id = id++;
-    f.arrival = arrival++;
-    f.updates = Json::array();
-    if (b % 2 == 0) {
-      f.session = "m";
+    const bool mst = b % 2 == 0;
+    Frame f{FrameKind::kUpdate, mst ? "m" : "p", "", 0, Json::array(), id++,
+            arrival++};
+    if (mst) {
       for (std::uint64_t r = 0; r < rows; ++r) {
         const bool del = !live_edges.empty() && next() % 4 == 0;
         if (del) {
@@ -137,7 +134,6 @@ std::vector<Frame> build_frames(std::uint64_t updates, std::uint64_t rows,
         f.updates.push_back(mst_row(1, u, v, w));
       }
     } else {
-      f.session = "p";
       for (std::uint64_t r = 0; r < rows; ++r) {
         const auto kind = static_cast<std::int64_t>(next() % 4);
         const auto dst = static_cast<std::int64_t>(next() % vars);

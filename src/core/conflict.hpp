@@ -12,6 +12,11 @@
 //   phase 3 (check):         read-only pass; a thread owns its neighborhood
 //                            iff every mark equals its id.
 //
+// The "id" is whatever priority the caller marks with. The paper uses the
+// thread id (Sec. 7.3); DMR marks with round_key(), a per-round permutation
+// of it, so that spatially ordered thread ids do not turn every chain of
+// overlapping cavities into one where only the top end wins.
+//
 // A global barrier separates the phases (Device::launch_phases). The paper
 // shows the 2-phase race-and-prioritycheck variant admits a race in which
 // two overlapping cavities are both accepted; the read-only third phase
@@ -35,6 +40,23 @@ enum class ConflictScheme {
   kTwoPhasePriority,      ///< race, then prioritycheck (racy; for study)
   kThreePhase,            ///< race, prioritycheck, read-only check (correct)
 };
+
+/// Priority key of thread `tid` in conflict-resolution round `round`: a
+/// bijection on [0, 2^31) that changes from round to round. XOR with a
+/// 31-bit round salt and multiplication by an odd constant modulo 2^31 are
+/// both bijections there, so two threads of a grid below 2^31 never tie, the
+/// top key still wins its whole neighbourhood (every round makes progress),
+/// and no key equals MarkTable::kNoOwner.
+constexpr std::uint32_t round_key(std::uint32_t tid, std::uint64_t round) {
+  // murmur3's 32-bit finalizer spreads consecutive rounds over the salt.
+  auto s = static_cast<std::uint32_t>(round);
+  s ^= s >> 16;
+  s *= 0x85EBCA6Bu;
+  s ^= s >> 13;
+  s *= 0xC2B2AE35u;
+  s ^= s >> 16;
+  return ((tid ^ (s & 0x7FFFFFFFu)) * 0x9E3779B1u) & 0x7FFFFFFFu;
+}
 
 /// Shared mark table over `num_elements` graph elements.
 class MarkTable {

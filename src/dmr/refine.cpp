@@ -56,6 +56,12 @@ class GpuRefinement {
   /// up. An entry is current only while cand[t] != Mesh::kNone; a stale
   /// one is never read.
   struct Round {
+    /// Thread t's priority in every conflict check of this round.
+    std::uint32_t key(std::uint32_t t) const {
+      return core::round_key(t, number);
+    }
+
+    std::uint64_t number = 0;  ///< 1-based round number
     gpu::LaunchConfig lc;
     std::vector<Tri> cand;  ///< the thread's bad triangle, or Mesh::kNone
     std::vector<Cavity> cav;
@@ -103,6 +109,7 @@ class GpuRefinement {
   Round& begin_round(const char* label) {
     ++st_.rounds;
     Round& r = round_;
+    r.number = st_.rounds;
     r.processed = r.aborted = 0;
     r.injected_livelock = false;
     // A campaign's livelock clause forces priority ties for this round.
@@ -121,6 +128,8 @@ class GpuRefinement {
     if (marks_.size() < nslots) marks_.resize(nslots + nslots / 2);
     marks_.reset();
     const std::uint64_t T = r.lc.total_threads();
+    MORPH_CHECK_MSG(T < (std::uint64_t{1} << 31),
+                    driver_ << ": grid too large for round keys");
     r.cand.assign(T, Mesh::kNone);
     r.owns.assign(T, 0);
     if (r.cav.size() < T) {
@@ -145,7 +154,7 @@ class GpuRefinement {
     // The guarded mutation the 3-phase protocol exists to protect: every
     // cavity element must be owned by this activity in the mark table.
     if (analysis::Sanitizer* s = ctx.san()) {
-      s->on_guarded_write(&marks_, ctx.block(), t, r.hood[t]);
+      s->on_guarded_write(&marks_, ctx.block(), r.key(t), r.hood[t]);
     }
     added_.clear();
     apply(r.cav[t], &added_);
@@ -160,7 +169,7 @@ class GpuRefinement {
     return {[this, &r](gpu::ThreadCtx& ctx) {
       const std::uint32_t t = ctx.tid();
       if (r.cand[t] == Mesh::kNone) return;
-      r.owns[t] = marks_.priority_check(ctx, t, r.hood[t]) ? 1 : 0;
+      r.owns[t] = marks_.priority_check(ctx, r.key(t), r.hood[t]) ? 1 : 0;
     }, /*sequential=*/false};
   }
 
@@ -453,27 +462,46 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
 
     const std::uint64_t chunk = (nslots + T - 1) / T;
 
+    // Luby-style pick: bad triangle x is beaten when a live, bad
+    // edge-neighbour lies in the chunk of a thread with a higher key this
+    // round. Triangles born this round (slot >= nslots, locks arm only) and
+    // hull edges belong to no thread. Counts each neighbour probe.
+    auto beaten = [&](Tri x, std::uint32_t key, std::uint64_t& probes) {
+      for (int e = 0; e < 3; ++e) {
+        ++probes;
+        const Tri n = m.across(x, e);
+        if (n >= nslots || m.is_deleted(n) || !m.is_bad(n)) continue;
+        if (r.key(static_cast<std::uint32_t>(n / chunk)) > key) return true;
+      }
+      return false;
+    };
+
     // --- phase 1: find a bad triangle, build its cavity, race-mark ---
     //
     // Topology-driven with local worklists (Sec. 7.5): thread t owns the
     // contiguous chunk [t*chunk, (t+1)*chunk) of the triangle array — a
     // pseudo-partition of the mesh after the layout optimization — and
-    // refines the first bad triangle in it. With divergence sorting
-    // (Sec. 7.6) the block has moved its bad triangles to one side, so the
-    // pickup is O(1) + the thread's share of the block-level sort; without
-    // it the thread scans its chunk, and scan lengths diverge across the
-    // warp.
+    // refines the first bad triangle in it that no higher-keyed neighbour
+    // beats. The top key among threads holding bad triangles is never
+    // beaten, so a round always builds a cavity that wins; a beaten
+    // triangle is skipped, not waited on, because a thread that went idle
+    // instead made whole runs slower. With divergence sorting (Sec. 7.6) the
+    // block has moved its bad triangles to one side, so the pickup is O(1) +
+    // the thread's share of the block-level sort; without it the thread
+    // scans its chunk, and scan lengths diverge across the warp. Neighbour
+    // probes are charged either way.
     auto phase_race = [&](gpu::ThreadCtx& ctx) {
       const std::uint32_t t = ctx.tid();
+      const std::uint32_t key = r.key(t);
       Tri target = Mesh::kNone;
       const std::uint64_t lo = static_cast<std::uint64_t>(t) * chunk;
       const std::uint64_t hi = std::min<std::uint64_t>(lo + chunk, nslots);
-      std::uint64_t scanned = 0;
+      std::uint64_t scanned = 0, probes = 0;
       for (std::uint64_t i = lo; i < hi; ++i) {
         ++scanned;
-        if (!m.is_deleted(static_cast<Tri>(i)) &&
-            m.is_bad(static_cast<Tri>(i))) {
-          target = static_cast<Tri>(i);
+        const auto x = static_cast<Tri>(i);
+        if (!m.is_deleted(x) && m.is_bad(x) && !beaten(x, key, probes)) {
+          target = x;
           break;
         }
       }
@@ -481,9 +509,9 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
         // Uniform per-thread cost: sorted pickup plus sort share.
         std::uint64_t sort_share = 1;
         for (std::uint64_t c = chunk; c > 1; c >>= 1) ++sort_share;
-        ctx.work(sort_share);
+        ctx.work(sort_share + probes);
       } else {
-        ctx.work(scanned);
+        ctx.work(scanned + probes);
       }
       if (target == Mesh::kNone) return;
       build_refinement_cavity(m, target, opts.use_float, r.cav[t]);
@@ -494,7 +522,7 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
       charge_locality(ctx, target, r.hood[t]);
       r.cand[t] = target;
       if (opts.scheme != core::ConflictScheme::kLocks) {
-        marks.race_mark(ctx, t, r.hood[t]);
+        marks.race_mark(ctx, key, r.hood[t]);
       }
     };
 
@@ -521,7 +549,7 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
           phase_race(ctx);
           const std::uint32_t t = ctx.tid();
           if (r.cand[t] == Mesh::kNone) return;
-          if (marks.try_claim(ctx, t, r.hood[t])) {
+          if (marks.try_claim(ctx, r.key(t), r.hood[t])) {
             run.commit(ctx, r, t);
             // Unlock at the end of the operation.
             ctx.atomic_op(r.hood[t].size());
@@ -538,14 +566,14 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
         phases.push_back({phase_race, /*sequential=*/false});
         phases.push_back(check_then_commit(
             [&](gpu::ThreadCtx& ctx, std::uint32_t t) {
-              return marks.exact_check(ctx, t, r.hood[t]);
+              return marks.exact_check(ctx, r.key(t), r.hood[t]);
             }));
         break;
       case core::ConflictScheme::kTwoPhasePriority:
         phases.push_back({phase_race, /*sequential=*/false});
         phases.push_back(check_then_commit(
             [&](gpu::ThreadCtx& ctx, std::uint32_t t) {
-              return marks.priority_check(ctx, t, r.hood[t]);
+              return marks.priority_check(ctx, r.key(t), r.hood[t]);
             }));
         break;
       case core::ConflictScheme::kThreePhase:
@@ -553,7 +581,8 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
         phases.push_back(run.priority_phase(r));
         phases.push_back(check_then_commit(
             [&](gpu::ThreadCtx& ctx, std::uint32_t t) {
-              return r.owns[t] && marks.final_check(ctx, t, r.hood[t]);
+              return r.owns[t] &&
+                     marks.final_check(ctx, r.key(t), r.hood[t]);
             }));
         break;
     }
@@ -648,7 +677,7 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
           ctx.work(opts.use_float ? r.cav[t].steps / 2 : r.cav[t].steps);
           r.cav[t].neighborhood(r.hood[t]);
           charge_locality(ctx, r.cand[t], r.hood[t]);
-          marks.race_mark(ctx, t, r.hood[t]);
+          marks.race_mark(ctx, r.key(t), r.hood[t]);
         }, /*sequential=*/false},
         run.priority_phase(r),
         // Commit: mesh mutation and requeue pushes, in ascending thread
@@ -656,7 +685,7 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
         {[&](gpu::ThreadCtx& ctx) {
           const std::uint32_t t = ctx.tid();
           if (r.cand[t] == Mesh::kNone) return;
-          if (r.owns[t] && marks.final_check(ctx, t, r.hood[t])) {
+          if (r.owns[t] && marks.final_check(ctx, r.key(t), r.hood[t])) {
             for (Tri a : run.commit(ctx, r, t)) {
               if (m.is_bad(a)) requeue(ctx, a);
             }

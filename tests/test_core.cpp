@@ -1,9 +1,10 @@
 // Unit tests for the generic morph machinery: the 3-phase conflict
 // resolution protocol (including a reconstruction of the 2-phase race the
-// paper describes), lock-based claiming, slot recycling, and adaptive
-// configuration.
+// paper describes), per-round priority keys, lock-based claiming, slot
+// recycling, and adaptive configuration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <thread>
@@ -164,6 +165,59 @@ TEST(MarkTable, TryClaimChargesAtomics) {
   const std::uint32_t a[] = {0, 1};
   marks.try_claim(ctx, 3, a);
   EXPECT_GE(ctx.counted_work(), 2u);
+}
+
+TEST(RoundKey, IsABijectionThatNeverReturnsNoOwner) {
+  // 42 blocks of 1024 threads: a grid as wide as the DMR drivers launch.
+  constexpr std::uint32_t kThreads = 42 * 1024;
+  for (std::uint64_t round : {1u, 2u, 3u, 57u, 1000u}) {
+    std::vector<std::uint32_t> keys(kThreads);
+    for (std::uint32_t t = 0; t < kThreads; ++t) {
+      keys[t] = round_key(t, round);
+      EXPECT_NE(keys[t], MarkTable::kNoOwner);
+      EXPECT_LT(keys[t], 1u << 31);
+    }
+    std::sort(keys.begin(), keys.end());
+    EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end())
+        << "two threads tie in round " << round;
+  }
+}
+
+TEST(RoundKey, DiffersBetweenRounds) {
+  for (std::uint64_t round = 1; round < 8; ++round) {
+    std::uint32_t same = 0;
+    for (std::uint32_t t = 0; t < 1024; ++t) {
+      same += round_key(t, round) == round_key(t, round + 1) ? 1 : 0;
+    }
+    EXPECT_EQ(same, 0u) << "rounds " << round << " and " << round + 1;
+  }
+}
+
+TEST(RoundKey, DecidesTheMarkTableWinnerOfAnOverlap) {
+  // Threads 3 and 9 overlap on element 2. Over enough rounds each of them
+  // holds the higher key at least once, and the mark table always sides
+  // with the key, not the thread id.
+  const std::uint32_t lo_hood[] = {1, 2};  // thread 3
+  const std::uint32_t hi_hood[] = {2, 3};  // thread 9
+  bool lower_id_won = false, higher_id_won = false;
+  for (std::uint64_t round = 1; round <= 64; ++round) {
+    const std::uint32_t k3 = round_key(3, round), k9 = round_key(9, round);
+    MarkTable marks(8);
+    auto ctx = dummy_ctx();
+    marks.race_mark(ctx, k3, lo_hood);
+    marks.race_mark(ctx, k9, hi_hood);
+    const bool owns3 = marks.priority_check(ctx, k3, lo_hood) &&
+                       marks.final_check(ctx, k3, lo_hood);
+    const bool owns9 = marks.priority_check(ctx, k9, hi_hood) &&
+                       marks.final_check(ctx, k9, hi_hood);
+    EXPECT_EQ(marks.owner(2), std::max(k3, k9));
+    EXPECT_EQ(owns3, k3 > k9);
+    EXPECT_EQ(owns9, k9 > k3);
+    lower_id_won |= owns3;
+    higher_id_won |= owns9;
+  }
+  EXPECT_TRUE(lower_id_won);
+  EXPECT_TRUE(higher_id_won);
 }
 
 TEST(SlotRecycler, GiveTakeFifo) {

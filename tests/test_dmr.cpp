@@ -494,19 +494,19 @@ TEST(RefineGpu, StatsProcessedMatchesWorkDone) {
 // behaviour, not in speed.
 TEST(RefineGpu, PinnedResultsOnSeededMesh) {
   const Mesh base = generate_input_mesh(1500, 2026);
-  for (std::uint32_t workers : {1u, 2u}) {
+  for (std::uint32_t workers : {1u, 2u, 4u}) {
     gpu::DeviceConfig cfg;
     cfg.host_workers = workers;
     gpu::Device dev(cfg);
     Mesh m = base;
     const RefineStats st = refine_gpu(m, dev);
-    EXPECT_EQ(st.rounds, 157u);
-    EXPECT_EQ(st.processed, 3687u);
-    EXPECT_EQ(st.aborted, 42622u);
-    EXPECT_EQ(dev.stats().launches, 158u);
-    EXPECT_EQ(dev.stats().warp_steps, 448300u);
-    EXPECT_EQ(st.modeled_cycles, 1259280.2827500007);  // bitwise
-    EXPECT_EQ(st.final_triangles, 8530u);
+    EXPECT_EQ(st.rounds, 66u);
+    EXPECT_EQ(st.processed, 3475u);
+    EXPECT_EQ(st.aborted, 8738u);
+    EXPECT_EQ(dev.stats().launches, 67u);
+    EXPECT_EQ(dev.stats().warp_steps, 236750u);
+    EXPECT_EQ(st.modeled_cycles, 528150.83716666652);  // bitwise
+    EXPECT_EQ(st.final_triangles, 8141u);
     expect_refined(m, "pinned gpu");
   }
 }
@@ -519,13 +519,13 @@ TEST(RefineGpuDataDriven, PinnedShardedResultsOnSeededMesh) {
   RefineOptions opts;
   opts.queue = DataDrivenQueue::kSharded;
   const RefineStats st = refine_gpu_datadriven(m, dev, opts);
-  EXPECT_EQ(st.rounds, 89u);
-  EXPECT_EQ(st.processed, 3435u);
-  EXPECT_EQ(st.aborted, 24042u);
-  EXPECT_EQ(dev.stats().launches, 89u);
-  EXPECT_EQ(dev.stats().warp_steps, 239222u);
-  EXPECT_EQ(st.modeled_cycles, 718017.2559523813);  // bitwise
-  EXPECT_EQ(st.final_triangles, 8060u);
+  EXPECT_EQ(st.rounds, 63u);
+  EXPECT_EQ(st.processed, 3454u);
+  EXPECT_EQ(st.aborted, 18989u);
+  EXPECT_EQ(dev.stats().launches, 63u);
+  EXPECT_EQ(dev.stats().warp_steps, 180535u);
+  EXPECT_EQ(st.modeled_cycles, 518917.5178571429);  // bitwise
+  EXPECT_EQ(st.final_triangles, 8095u);
   expect_refined(m, "pinned gpu data-driven sharded");
 }
 

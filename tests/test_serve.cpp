@@ -350,8 +350,9 @@ TEST(Scheduler, CheckpointBlobRoundTripsAtQuiescence) {
     auto sub = s.submit(JobKind::kDmr, 2, 150.0, 400.0);
     repr += sub.accepted ? "A" : "R";
     for (const JobPlacement& p : drain(s)) {
-      repr += "|" + std::to_string(p.seq) + "," + std::to_string(p.batch) +
-              "," + std::to_string(p.slot) + "," +
+      repr += '|';
+      repr += std::to_string(p.seq) + "," + std::to_string(p.batch) + "," +
+              std::to_string(p.slot) + "," +
               std::to_string(p.start_cycles) + "," +
               std::to_string(p.end_cycles);
     }
