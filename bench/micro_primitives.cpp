@@ -7,7 +7,6 @@
 #include "core/conflict.hpp"
 #include "dmr/cavity.hpp"
 #include "dmr/delaunay.hpp"
-#include "gpu/memory.hpp"
 #include "gpu/worklist.hpp"
 #include "sp/survey.hpp"
 
@@ -33,8 +32,9 @@ void BM_MarkTableThreePhase(benchmark::State& state) {
       marks.race_mark(ctx, t, hoods[t]);
     std::uint32_t winners = 0;
     for (std::uint32_t t = 0; t < hoods.size(); ++t)
-      winners += marks.priority_check(ctx, t, hoods[t]) &&
-                 marks.final_check(ctx, t, hoods[t]);
+      // Phase 2 (prioritycheck) and phase 3 run the same read-only check.
+      winners += marks.check(ctx, t, hoods[t]) &&
+                 marks.check(ctx, t, hoods[t]);
     benchmark::DoNotOptimize(winners);
   }
 }
@@ -75,19 +75,6 @@ void BM_GlobalWorklist(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GlobalWorklist);
-
-void BM_DeviceHeapChunkCycle(benchmark::State& state) {
-  gpu::Device dev;
-  gpu::DeviceHeap<std::uint32_t> heap(dev,
-                                      static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto a = heap.alloc_chunk();
-    auto b = heap.alloc_chunk();
-    heap.free_chunk(a);
-    heap.free_chunk(b);
-  }
-}
-BENCHMARK(BM_DeviceHeapChunkCycle)->Arg(512)->Arg(4096);
 
 void BM_CavityBuild(benchmark::State& state) {
   dmr::Mesh m = dmr::generate_input_mesh(20000, 3);

@@ -163,29 +163,11 @@ void Sanitizer::end_launch() {
 
 void Sanitizer::on_access(std::uint32_t block, const void* addr,
                           std::size_t bytes, Access access) {
-  if (!opts_.races && !opts_.memory) return;
+  if (!opts_.races) return;
   if (bytes == 0) return;
   const auto lo = reinterpret_cast<std::uintptr_t>(addr);
   const auto hi = lo + bytes;
   std::scoped_lock lock(mu_);
-
-  if (opts_.memory && !heap_freed_.empty()) {
-    auto it = heap_freed_.upper_bound(lo);
-    if (it != heap_freed_.begin()) --it;
-    for (; it != heap_freed_.end() && it->first < hi; ++it) {
-      if (it->first + it->second <= lo) continue;
-      add_finding(HazardClass::kMemory, "use-after-free", lo,
-                  std::string(access_name(access)) + " of " +
-                      std::to_string(bytes) + " bytes inside freed chunk " +
-                      hex(it->first) + "+" + std::to_string(it->second) +
-                      " by block " +
-                      (block == kHostAgent ? "<host>"
-                                           : std::to_string(block)));
-      break;
-    }
-  }
-
-  if (!opts_.races) return;
   // Host-side accesses and ordered (sequential / campaign-pinned) phases
   // are totally ordered with respect to everything in the launch.
   if (block == kHostAgent || !in_launch_ || phase_ordered_) return;
@@ -434,34 +416,6 @@ void Sanitizer::on_wl_compact(const void* list, std::uint64_t head,
 
 // --- memory --------------------------------------------------------------
 
-void Sanitizer::on_heap_alloc(const void* base, std::size_t bytes) {
-  if (!opts_.memory) return;
-  std::scoped_lock lock(mu_);
-  const auto lo = reinterpret_cast<std::uintptr_t>(base);
-  heap_freed_.erase(lo);  // recycled chunk returns to life
-  heap_live_[lo] = bytes;
-}
-
-void Sanitizer::on_heap_free(const void* base, std::size_t bytes) {
-  if (!opts_.memory) return;
-  std::scoped_lock lock(mu_);
-  const auto lo = reinterpret_cast<std::uintptr_t>(base);
-  if (heap_freed_.count(lo)) {
-    add_finding(HazardClass::kMemory, "double-free", lo,
-                "chunk " + hex(lo) + "+" + std::to_string(bytes) +
-                    " freed twice without an intervening allocation");
-    return;
-  }
-  if (!heap_live_.count(lo)) {
-    add_finding(HazardClass::kMemory, "invalid-free", lo,
-                "chunk " + hex(lo) + " freed but never allocated from the "
-                    "device heap");
-    return;
-  }
-  heap_live_.erase(lo);
-  heap_freed_[lo] = bytes;
-}
-
 void Sanitizer::on_slot_recycled(const void* pool, std::uint32_t slot) {
   if (!opts_.memory) return;
   std::scoped_lock lock(mu_);
@@ -480,14 +434,6 @@ void Sanitizer::on_slot_reclaimed(const void* pool, std::uint32_t slot) {
   std::scoped_lock lock(mu_);
   auto it = recycled_.find(pool);
   if (it != recycled_.end()) it->second.erase(slot);
-}
-
-void Sanitizer::forget_heap(const void* base, std::size_t bytes) {
-  if (!opts_.memory) return;
-  std::scoped_lock lock(mu_);
-  (void)bytes;
-  heap_live_.erase(reinterpret_cast<std::uintptr_t>(base));
-  heap_freed_.erase(reinterpret_cast<std::uintptr_t>(base));
 }
 
 void Sanitizer::forget_pool(const void* pool) {
@@ -570,8 +516,6 @@ void Sanitizer::reset() {
   words_.clear();
   owners_.clear();
   lists_.clear();
-  heap_live_.clear();
-  heap_freed_.clear();
   recycled_.clear();
   findings_.clear();
   for (std::uint64_t& c : counts_) c = 0;

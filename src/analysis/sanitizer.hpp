@@ -19,8 +19,7 @@
 //             and the SlotRecycler's): double claims, publication of
 //             unclaimed slots, pops of unpublished (in-flight) slots,
 //             double pops.
-//   memory    use-after-free / double-free on DeviceHeap chunks,
-//             use-after-recycle / double-recycle on SlotRecycler slots.
+//   memory    use-after-recycle / double-recycle on SlotRecycler slots.
 //
 // There is no block-barrier class: the simulator runs each block's threads
 // to completion one after another, so a kernel cannot contain a block-level
@@ -35,7 +34,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -109,8 +107,7 @@ struct Finding {
 class Sanitizer {
  public:
   /// Agent id for host-side (between-launch) accesses: ordered with respect
-  /// to everything, so never part of a race, but still subject to the
-  /// memory-shadow (use-after-free) checks.
+  /// to everything, so never part of a race.
   static constexpr std::uint32_t kHostAgent = 0xffffffffu;
 
   enum class Access : std::uint8_t { kRead, kWrite, kAtomic };
@@ -137,7 +134,7 @@ class Sanitizer {
   /// Records one access to [addr, addr+bytes) by `block` (kHostAgent for
   /// host-side accesses). Two accesses to the same word from different
   /// blocks in the same unordered phase conflict unless both are reads or
-  /// both are atomic. Also runs the use-after-free check (memory class).
+  /// both are atomic.
   void on_access(std::uint32_t block, const void* addr, std::size_t bytes,
                  Access access);
 
@@ -179,16 +176,7 @@ class Sanitizer {
   void on_wl_compact(const void* list, std::uint64_t head,
                      std::uint64_t commit);
 
-  // --- allocator shadow (memory) ----------------------------------------
-
-  void on_heap_alloc(const void* base, std::size_t bytes);
-  void on_heap_free(const void* base, std::size_t bytes);
-
-  /// The allocation at `base` ceased to exist (allocator teardown): drop it
-  /// from both the live and the freed shadow without reporting. Without
-  /// this, a later unrelated allocation reusing the address would inherit
-  /// stale freed-interval state and produce false use-after-free findings.
-  void forget_heap(const void* base, std::size_t bytes);
+  // --- recycler shadow (memory) -----------------------------------------
 
   /// SlotRecycler shadow: a slot handed back (give) must not be given again
   /// or written before it is re-claimed (take). `pool` namespaces slot ids.
@@ -264,9 +252,7 @@ class Sanitizer {
   // worklist: per-list slot shadow.
   std::unordered_map<const void*, ListShadow> lists_;
 
-  // memory: live/freed heap intervals + recycler slot sets.
-  std::map<std::uintptr_t, std::size_t> heap_live_;
-  std::map<std::uintptr_t, std::size_t> heap_freed_;
+  // memory: recycler slot sets.
   std::unordered_map<const void*, std::unordered_set<std::uint32_t>>
       recycled_;
 

@@ -59,46 +59,8 @@ void MarkTable::mark_max(std::uint32_t element, std::uint32_t tid) {
   }
 }
 
-bool MarkTable::priority_check(gpu::ThreadCtx& ctx, std::uint32_t tid,
-                               std::span<const std::uint32_t> elements) {
-  if (force_ties_.load(std::memory_order_relaxed)) {
-    // Injected livelock: behave as if a higher-priority thread holds an
-    // element of every neighborhood. The full inspection work is still
-    // charged, as a real tied round would be.
-    ctx.work(elements.size());
-    return false;
-  }
-  bool owns = true;
-  for (std::uint32_t e : elements) {
-    ctx.global_access();
-    const std::uint32_t tm = marks_[e].load(std::memory_order_relaxed);
-    if (tm == tid) continue;
-    if (tid < tm && tm != kNoOwner) {
-      owns = false;  // higher-id thread has priority; back off
-      break;
-    }
-    // tid > tm (or the mark was cleared): take priority. After a max-wins
-    // race phase this branch is unreachable (every mark a thread wrote is
-    // at least its own id); the max-claim keeps it safe for callers that
-    // enter the priority phase without racing first.
-    ctx.global_access();
-    mark_max(e, tid);
-  }
-  ctx.work(elements.size());
-  // A surviving activity believes it owns its neighborhood; record the
-  // grant so commit-side on_guarded_write can validate it. With the CAS-max
-  // race phase only the maximal tid of each overlap survives, so the
-  // overlapping-grant check stays meaningful for the 2-phase ablation arm.
-  if (owns) {
-    if (analysis::Sanitizer* s = observe(ctx)) {
-      s->on_ownership_granted(this, tid, elements);
-    }
-  }
-  return owns;
-}
-
-bool MarkTable::exact_check(gpu::ThreadCtx& ctx, std::uint32_t tid,
-                            std::span<const std::uint32_t> elements) const {
+bool MarkTable::check(gpu::ThreadCtx& ctx, std::uint32_t tid,
+                      std::span<const std::uint32_t> elements) const {
   ctx.work(elements.size());
   if (force_ties_.load(std::memory_order_relaxed)) return false;
   for (std::uint32_t e : elements) {
@@ -109,11 +71,6 @@ bool MarkTable::exact_check(gpu::ThreadCtx& ctx, std::uint32_t tid,
     s->on_ownership_granted(this, tid, elements);
   }
   return true;
-}
-
-bool MarkTable::final_check(gpu::ThreadCtx& ctx, std::uint32_t tid,
-                            std::span<const std::uint32_t> elements) const {
-  return exact_check(ctx, tid, elements);
 }
 
 bool MarkTable::try_claim(gpu::ThreadCtx& ctx, std::uint32_t tid,

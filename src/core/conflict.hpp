@@ -7,10 +7,17 @@
 //                            its neighborhood; contention resolves
 //                            highest-id-wins (deterministic; see race_mark).
 //   phase 2 (prioritycheck): a thread inspects each mark; equal -> keep,
-//                            higher id present -> back off, lower id present
-//                            -> overwrite with own id.
-//   phase 3 (check):         read-only pass; a thread owns its neighborhood
-//                            iff every mark equals its id.
+//                            higher id present -> back off.
+//   phase 3 (check):         a thread owns its neighborhood iff every mark
+//                            equals its id.
+//
+// In the paper, phase 2 also overwrites a lower id with its own, because a
+// hardware race can leave a lower id on an element. Here the race phase is
+// a CAS-max, so after it every element already holds the highest id of its
+// markers: a lower mark cannot exist, phase 2 never writes, and phases 2
+// and 3 are the same read-only check(). kThreePhase still runs both, with
+// the barrier between them, because that is the paper's kernel shape and
+// its modeled cost.
 //
 // The "id" is whatever priority the caller marks with. The paper uses the
 // thread id (Sec. 7.3); DMR marks with round_key(), a per-round permutation
@@ -20,8 +27,8 @@
 // A global barrier separates the phases (Device::launch_phases). The paper
 // shows the 2-phase race-and-prioritycheck variant admits a race in which
 // two overlapping cavities are both accepted; the read-only third phase
-// removes it. MarkTable exposes each phase separately so both the correct
-// protocol and the racy variants can be exercised and measured.
+// removes it. Under max-wins marking neither 2-phase arm can accept
+// overlapping cavities, so the ablation shows only the third phase's cost.
 #pragma once
 
 #include <atomic>
@@ -36,9 +43,8 @@ namespace morph::core {
 /// Conflict-resolution schemes compared in the ablation bench.
 enum class ConflictScheme {
   kLocks,                 ///< per-element CAS locks (mutual exclusion)
-  kTwoPhaseRaceCheck,     ///< race, then exact-match check (no priorities)
-  kTwoPhasePriority,      ///< race, then prioritycheck (racy; for study)
-  kThreePhase,            ///< race, prioritycheck, read-only check (correct)
+  kTwoPhaseRaceCheck,     ///< race, then check
+  kThreePhase,            ///< race, prioritycheck, check (the paper's)
 };
 
 /// Priority key of thread `tid` in conflict-resolution round `round`: a
@@ -96,21 +102,12 @@ class MarkTable {
   void race_mark(gpu::ThreadCtx& ctx, std::uint32_t tid,
                  std::span<const std::uint32_t> elements);
 
-  /// Phase 2: priority re-mark. Returns false if a higher-priority thread
-  /// holds any element (the caller should back off); true means the thread
-  /// still believes it owns the neighborhood. Mutates marks.
-  bool priority_check(gpu::ThreadCtx& ctx, std::uint32_t tid,
-                      std::span<const std::uint32_t> elements);
-
-  /// Phase 2 without priorities (the plain race-and-check protocol):
-  /// read-only; owns iff every mark equals tid.
-  bool exact_check(gpu::ThreadCtx& ctx, std::uint32_t tid,
-                   std::span<const std::uint32_t> elements) const;
-
-  /// Phase 3: read-only final check; identical predicate to exact_check but
-  /// kept separate so call sites document the protocol they implement.
-  bool final_check(gpu::ThreadCtx& ctx, std::uint32_t tid,
-                   std::span<const std::uint32_t> elements) const;
+  /// Phases 2 and 3: read-only; `tid` owns the neighborhood iff every mark
+  /// equals it. Stops at the first element marked by another (after
+  /// race_mark, a higher) id; a win is reported to the sanitizer as an
+  /// ownership grant.
+  bool check(gpu::ThreadCtx& ctx, std::uint32_t tid,
+             std::span<const std::uint32_t> elements) const;
 
   // --- mutual-exclusion alternative (the scheme the paper argues is
   // ill-suited to GPUs; kept for the ablation bench) ---

@@ -1,12 +1,12 @@
 // Subgraph addition and deletion strategies (paper Sec. 7.1 / 7.2).
 //
-// Kernel-Only chunked malloc lives in gpu::DeviceHeap; the host-driven
-// growth strategies are charged inline by their drivers (DMR's reservation
-// in dmr/refine.cpp). This header provides SlotRecycler, the "Recycle"
-// deletion strategy DMR uses: deleted element slots are remembered and
-// handed back to threads creating new elements, trading compaction overhead
-// against allocation cost. Its pool is a gpu::ClaimRing, the worklists'
-// claim-then-publish ring.
+// Kernel-Only chunked malloc lives in gpu::DeviceHeap, which only allocates
+// (its chunks die with the heap); the host-driven growth strategies are
+// charged inline by their drivers (DMR's reservation in dmr/refine.cpp).
+// This header provides SlotRecycler, the "Recycle" deletion strategy DMR
+// uses: deleted element slots are remembered and handed back to threads
+// creating new elements, trading compaction overhead against allocation
+// cost. Its pool is a gpu::ClaimRing, the worklists' claim-then-publish ring.
 #pragma once
 
 #include <cstdint>

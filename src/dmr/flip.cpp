@@ -176,7 +176,7 @@ FlipStats flip_gpu(Mesh& m, gpu::Device& dev, gpu::BarrierKind barrier) {
         {[&](gpu::ThreadCtx& ctx) {
           const std::uint32_t tid = ctx.tid();
           if (target[tid] == Mesh::kNone) return;
-          owns[tid] = marks.priority_check(ctx, tid, hood[tid]) ? 1 : 0;
+          owns[tid] = marks.check(ctx, tid, hood[tid]) ? 1 : 0;
         }, /*sequential=*/false},
         // check + apply. Sequential commit: the host-serialized mesh
         // rewiring runs in ascending thread order, so the surviving flips
@@ -185,7 +185,7 @@ FlipStats flip_gpu(Mesh& m, gpu::Device& dev, gpu::BarrierKind barrier) {
         {[&](gpu::ThreadCtx& ctx) {
           const std::uint32_t tid = ctx.tid();
           if (target[tid] == Mesh::kNone) return;
-          if (owns[tid] && marks.final_check(ctx, tid, hood[tid])) {
+          if (owns[tid] && marks.check(ctx, tid, hood[tid])) {
             if (flip_edge(m, target[tid], target_edge[tid])) {
               ctx.work(8);
               ++flips;

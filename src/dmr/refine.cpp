@@ -169,7 +169,7 @@ class GpuRefinement {
     return {[this, &r](gpu::ThreadCtx& ctx) {
       const std::uint32_t t = ctx.tid();
       if (r.cand[t] == Mesh::kNone) return;
-      r.owns[t] = marks_.priority_check(ctx, r.key(t), r.hood[t]) ? 1 : 0;
+      r.owns[t] = marks_.check(ctx, r.key(t), r.hood[t]) ? 1 : 0;
     }, /*sequential=*/false};
   }
 
@@ -526,7 +526,6 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
       }
     };
 
-    // A two-phase scheme's single sequential check-and-commit phase.
     // The sequential phase that commits every cavity passing `check`.
     auto check_then_commit = [&](auto check) {
       return gpu::Phase{[&, check](gpu::ThreadCtx& ctx) {
@@ -551,7 +550,12 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
           if (r.cand[t] == Mesh::kNone) return;
           if (marks.try_claim(ctx, r.key(t), r.hood[t])) {
             run.commit(ctx, r, t);
-            // Unlock at the end of the operation.
+            // Charge the unlock, but hold the claims until the round's
+            // marks_.reset(). This one sequential phase stands for threads
+            // that all run at once, so a cavity's locks must still be held
+            // when a later thread of the same round tries an overlapping
+            // one. Releasing them here would model a serialized round in
+            // which overlapping cavities never contend.
             ctx.atomic_op(r.hood[t].size());
           } else {
             // A real lock-based kernel spins before giving up; charge the
@@ -566,14 +570,7 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
         phases.push_back({phase_race, /*sequential=*/false});
         phases.push_back(check_then_commit(
             [&](gpu::ThreadCtx& ctx, std::uint32_t t) {
-              return marks.exact_check(ctx, r.key(t), r.hood[t]);
-            }));
-        break;
-      case core::ConflictScheme::kTwoPhasePriority:
-        phases.push_back({phase_race, /*sequential=*/false});
-        phases.push_back(check_then_commit(
-            [&](gpu::ThreadCtx& ctx, std::uint32_t t) {
-              return marks.priority_check(ctx, r.key(t), r.hood[t]);
+              return marks.check(ctx, r.key(t), r.hood[t]);
             }));
         break;
       case core::ConflictScheme::kThreePhase:
@@ -581,8 +578,7 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
         phases.push_back(run.priority_phase(r));
         phases.push_back(check_then_commit(
             [&](gpu::ThreadCtx& ctx, std::uint32_t t) {
-              return r.owns[t] &&
-                     marks.final_check(ctx, r.key(t), r.hood[t]);
+              return r.owns[t] && marks.check(ctx, r.key(t), r.hood[t]);
             }));
         break;
     }
@@ -685,7 +681,7 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
         {[&](gpu::ThreadCtx& ctx) {
           const std::uint32_t t = ctx.tid();
           if (r.cand[t] == Mesh::kNone) return;
-          if (r.owns[t] && marks.final_check(ctx, r.key(t), r.hood[t])) {
+          if (r.owns[t] && marks.check(ctx, r.key(t), r.hood[t])) {
             for (Tri a : run.commit(ctx, r, t)) {
               if (m.is_bad(a)) requeue(ctx, a);
             }

@@ -107,13 +107,6 @@ class ChunkList {
     for (const std::span<Var>& ch : chunks_) {
       const std::size_t n = std::min(ch.size(), total - w);
       if (n == 0) break;
-      // Shadow the chunk rewrite so a freed-then-reused chunk is caught as
-      // a use-after-free. Host agent: the merge runs between launches, so
-      // it is never part of an inter-block race.
-      if (analysis::Sanitizer* s = heap.device()->sanitizer()) {
-        s->on_access(analysis::Sanitizer::kHostAgent, ch.data(),
-                     n * sizeof(Var), analysis::Sanitizer::Access::kWrite);
-      }
       std::copy(all.begin() + w, all.begin() + w + n, ch.begin());
       w += n;
     }

@@ -316,8 +316,7 @@ struct Hooks {
 };
 
 SpResult run_schedule(FactorGraph& g, const SpOptions& opts,
-                      const Hooks& hooks, const std::uint64_t& work,
-                      Rng& rng) {
+                      const Hooks& hooks, Rng& rng) {
   SpResult res;
   const Formula& f = *g.formula;
   std::vector<double> bias_mag(f.num_lits);
@@ -332,10 +331,6 @@ SpResult run_schedule(FactorGraph& g, const SpOptions& opts,
       hooks.refresh();
       maxd = hooks.sweep();
       ++res.sweeps;
-      if (work > opts.work_budget) {
-        res.out_of_time = true;
-        return res;
-      }
       if (maxd < opts.eps) break;
     }
 
@@ -431,7 +426,7 @@ SpResult solve_serial(const Formula& f, const SpOptions& opts) {
     }
   };
 
-  SpResult res = run_schedule(g, opts, hooks, work, rng);
+  SpResult res = run_schedule(g, opts, hooks, rng);
   res.counted_work = work;
   res.wall_seconds = timer.seconds();
   res.modeled_cycles = static_cast<double>(work);
@@ -502,7 +497,7 @@ SpResult solve_multicore(const Formula& f, cpu::ParallelRunner& runner,
     drain_worker_ops();
   };
 
-  SpResult res = run_schedule(g, opts, hooks, work, rng);
+  SpResult res = run_schedule(g, opts, hooks, rng);
   res.counted_work = work;
   res.wall_seconds = timer.seconds();
   res.modeled_cycles = runner.stats().modeled_cycles;
@@ -541,8 +536,7 @@ SpResult solve_gpu(const Formula& f, gpu::Device& dev,
   dev.note_copy(f.clause_lit.size() * (sizeof(Lit) + 1));
 
   // Kernel threads run on several host workers; they tally ops into an
-  // atomic that is drained into the schedule's plain `work` counter between
-  // launches (run_schedule only reads it there).
+  // atomic that is drained into the plain `work` counter between launches.
   std::atomic<std::uint64_t> launch_ops{0};
   auto drain_ops = [&] { work += launch_ops.exchange(0); };
 
@@ -612,7 +606,7 @@ SpResult solve_gpu(const Formula& f, gpu::Device& dev,
     drain_ops();
   };
 
-  SpResult res = run_schedule(g, opts, hooks, work, rng);
+  SpResult res = run_schedule(g, opts, hooks, rng);
 
   // Invariant gate under fault campaigns: the factor graph's tombstone
   // marking must still be coherent, and a claimed solution must actually

@@ -34,14 +34,12 @@ struct SpOptions {
   std::uint64_t walksat_flips = 0;
   std::uint32_t max_phases = 1u << 20;
   bool cache_products = true;     ///< the edge-caching optimization
-  std::uint64_t work_budget = ~0ull;  ///< counted ops before declaring OOT
   std::uint64_t seed = 1;
 };
 
 struct SpResult {
   bool solved = false;
   bool contradiction = false;  ///< decimation emptied a clause
-  bool out_of_time = false;    ///< exceeded work_budget
   std::vector<std::uint8_t> assignment;  ///< meaningful when solved
   std::uint64_t sweeps = 0;
   std::uint64_t phases = 0;

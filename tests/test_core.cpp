@@ -35,10 +35,16 @@ TEST(MarkTable, ExactCheckDetectsOverwrites) {
   auto ctx = dummy_ctx();
   const std::uint32_t a[] = {1, 2};
   const std::uint32_t b[] = {2, 3};
+  // Race phase: thread 1 then thread 2 mark; 2 holds the shared element.
   marks.race_mark(ctx, 1, a);
   marks.race_mark(ctx, 2, b);
-  EXPECT_FALSE(marks.exact_check(ctx, 1, a));  // lost element 2
-  EXPECT_TRUE(marks.exact_check(ctx, 2, b));
+  // 1 sees 2 on element 2 and backs off; 2 keeps all, and the check is
+  // read-only, so repeating it (phase 3 after phase 2) changes nothing.
+  EXPECT_FALSE(marks.check(ctx, 1, a));
+  EXPECT_TRUE(marks.check(ctx, 2, b));
+  EXPECT_TRUE(marks.check(ctx, 2, b));
+  EXPECT_EQ(marks.owner(1), 1u);
+  EXPECT_EQ(marks.owner(2), 2u);
 }
 
 TEST(MarkTable, PriorityCheckHigherIdWinsShared) {
@@ -46,27 +52,15 @@ TEST(MarkTable, PriorityCheckHigherIdWinsShared) {
   auto ctx = dummy_ctx();
   const std::uint32_t a[] = {1, 2};
   const std::uint32_t b[] = {2, 3};
-  // Race phase: thread 5 then thread 9 mark; 9 holds the shared element.
+  // Race phase: thread 9 then thread 5 mark; max-wins keeps 9 on the shared
+  // element even though 5 wrote last.
+  marks.race_mark(ctx, 9, b);
   marks.race_mark(ctx, 5, a);
-  marks.race_mark(ctx, 9, b);
-  // Prioritycheck: 5 sees 9 on element 2 and backs off; 9 keeps all.
-  EXPECT_FALSE(marks.priority_check(ctx, 5, a));
-  EXPECT_TRUE(marks.priority_check(ctx, 9, b));
-  EXPECT_TRUE(marks.final_check(ctx, 9, b));
-}
-
-TEST(MarkTable, PriorityCheckLowerMarkGetsOverwritten) {
-  MarkTable marks(8);
-  auto ctx = dummy_ctx();
-  const std::uint32_t a[] = {1, 2};
-  const std::uint32_t b[] = {2, 3};
-  marks.race_mark(ctx, 9, b);
-  marks.race_mark(ctx, 5, a);  // 5 wrote last on the shared element
-  // 9 has priority: it re-marks element 2.
-  EXPECT_TRUE(marks.priority_check(ctx, 9, b));
   EXPECT_EQ(marks.owner(2), 9u);
-  // 5 discovers the loss only in the read-only check phase.
-  EXPECT_FALSE(marks.final_check(ctx, 5, a));
+  EXPECT_EQ(marks.owner(1), 5u);
+  // Check: 5 sees 9 on element 2 and backs off; 9 keeps all.
+  EXPECT_FALSE(marks.check(ctx, 5, a));
+  EXPECT_TRUE(marks.check(ctx, 9, b));
 }
 
 TEST(MarkTable, TwoPhaseRaceFromPaperResolvedByMaxRace) {
@@ -78,8 +72,8 @@ TEST(MarkTable, TwoPhaseRaceFromPaperResolvedByMaxRace) {
   // order's outcome), so the anomalous post-race state is unreachable: the
   // shared element always holds t_i, t_j backs off in the prioritycheck,
   // and the winner set is identical under any host-thread interleaving.
-  // The read-only third phase is kept (and benched) as the paper's fix for
-  // hardware where the race is genuinely arbitrary.
+  // The read-only third phase is kept (and benched) as the paper's kernel
+  // shape.
   MarkTable marks(8);
   auto ctx = dummy_ctx();
   const std::uint32_t ti_hood[] = {1, 2};  // t_i = 9
@@ -88,22 +82,23 @@ TEST(MarkTable, TwoPhaseRaceFromPaperResolvedByMaxRace) {
   marks.race_mark(ctx, 4, tj_hood);  // t_j races last but does not win
   EXPECT_EQ(marks.owner(2), 9u);
   // --- global barrier ---
-  const bool tj_owns = marks.priority_check(ctx, 4, tj_hood);  // runs first
-  const bool ti_owns = marks.priority_check(ctx, 9, ti_hood);
+  const bool tj_owns = marks.check(ctx, 4, tj_hood);  // runs first
+  const bool ti_owns = marks.check(ctx, 9, ti_hood);
   EXPECT_FALSE(tj_owns);  // backs off: no overlapping winners
   EXPECT_TRUE(ti_owns);
 
   // The third phase agrees with the prioritycheck in either order.
-  EXPECT_FALSE(marks.final_check(ctx, 4, tj_hood));
-  EXPECT_TRUE(marks.final_check(ctx, 9, ti_hood));
+  EXPECT_FALSE(marks.check(ctx, 4, tj_hood));
+  EXPECT_TRUE(marks.check(ctx, 9, ti_hood));
 }
 
 TEST(MarkTable, ThreePhaseYieldsDisjointWinnersUnderContention) {
-  // Property: after race + prioritycheck + check over many overlapping
-  // neighborhoods, accepted neighborhoods are pairwise disjoint.
-  constexpr std::uint32_t kThreads = 64, kElems = 96;
-  MarkTable marks(kElems);
-  auto ctx = dummy_ctx();
+  // Property: host threads race overlapping neighborhoods with round_key
+  // keys, as the DMR driver does. After the race every element holds the
+  // highest key among its markers, so the read-only check gives the same
+  // answer in phase 2 (prioritycheck) and phase 3, and the accepted
+  // neighborhoods are pairwise disjoint.
+  constexpr std::uint32_t kThreads = 64, kElems = 96, kWorkers = 4;
   Rng rng(5);
   std::vector<std::vector<std::uint32_t>> hoods(kThreads);
   for (auto& h : hoods) {
@@ -111,23 +106,55 @@ TEST(MarkTable, ThreePhaseYieldsDisjointWinnersUnderContention) {
     while (s.size() < 5) s.insert(static_cast<std::uint32_t>(rng.next_below(kElems)));
     h.assign(s.begin(), s.end());
   }
-  for (std::uint32_t t = 0; t < kThreads; ++t)
-    marks.race_mark(ctx, t, hoods[t]);
-  std::vector<bool> owns(kThreads);
-  for (std::uint32_t t = 0; t < kThreads; ++t)
-    owns[t] = marks.priority_check(ctx, t, hoods[t]);
-  std::vector<std::uint32_t> winner_of(kElems, MarkTable::kNoOwner);
-  std::uint32_t winners = 0;
-  for (std::uint32_t t = 0; t < kThreads; ++t) {
-    if (!owns[t] || !marks.final_check(ctx, t, hoods[t])) continue;
-    ++winners;
-    for (std::uint32_t e : hoods[t]) {
-      EXPECT_EQ(winner_of[e], MarkTable::kNoOwner)
-          << "element " << e << " claimed twice";
-      winner_of[e] = t;
+  for (std::uint64_t round = 1; round <= 4; ++round) {
+    MarkTable marks(kElems);
+    std::vector<std::uint32_t> key(kThreads);
+    for (std::uint32_t t = 0; t < kThreads; ++t) key[t] = round_key(t, round);
+    // Host thread w runs activities w, w + kWorkers, ...; joining the host
+    // threads is the global barrier between phases.
+    const auto phase = [&](const auto& body) {
+      std::vector<std::thread> workers;
+      for (std::uint32_t w = 0; w < kWorkers; ++w) {
+        workers.emplace_back([&, w] {
+          auto ctx = dummy_ctx();
+          for (std::uint32_t t = w; t < kThreads; t += kWorkers) body(ctx, t);
+        });
+      }
+      for (std::thread& th : workers) th.join();
+    };
+    phase([&](gpu::ThreadCtx& ctx, std::uint32_t t) {
+      marks.race_mark(ctx, key[t], hoods[t]);
+    });
+    std::vector<std::uint32_t> top(kElems, MarkTable::kNoOwner);
+    for (std::uint32_t t = 0; t < kThreads; ++t) {
+      for (std::uint32_t e : hoods[t]) {
+        if (top[e] == MarkTable::kNoOwner || key[t] > top[e]) top[e] = key[t];
+      }
     }
+    for (std::uint32_t e = 0; e < kElems; ++e) {
+      EXPECT_EQ(marks.owner(e), top[e]) << "element " << e;
+    }
+    std::vector<char> owns2(kThreads), owns3(kThreads);
+    phase([&](gpu::ThreadCtx& ctx, std::uint32_t t) {
+      owns2[t] = marks.check(ctx, key[t], hoods[t]);
+    });
+    phase([&](gpu::ThreadCtx& ctx, std::uint32_t t) {
+      owns3[t] = marks.check(ctx, key[t], hoods[t]);
+    });
+    std::vector<std::uint32_t> winner_of(kElems, MarkTable::kNoOwner);
+    std::uint32_t winners = 0;
+    for (std::uint32_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(owns2[t], owns3[t]) << "round " << round << " thread " << t;
+      if (!owns3[t]) continue;
+      ++winners;
+      for (std::uint32_t e : hoods[t]) {
+        EXPECT_EQ(winner_of[e], MarkTable::kNoOwner)
+            << "element " << e << " claimed twice";
+        winner_of[e] = t;
+      }
+    }
+    EXPECT_GT(winners, 0u);
   }
-  EXPECT_GT(winners, 0u);
 }
 
 TEST(MarkTable, ResetClearsOwnership) {
@@ -206,10 +233,8 @@ TEST(RoundKey, DecidesTheMarkTableWinnerOfAnOverlap) {
     auto ctx = dummy_ctx();
     marks.race_mark(ctx, k3, lo_hood);
     marks.race_mark(ctx, k9, hi_hood);
-    const bool owns3 = marks.priority_check(ctx, k3, lo_hood) &&
-                       marks.final_check(ctx, k3, lo_hood);
-    const bool owns9 = marks.priority_check(ctx, k9, hi_hood) &&
-                       marks.final_check(ctx, k9, hi_hood);
+    const bool owns3 = marks.check(ctx, k3, lo_hood);
+    const bool owns9 = marks.check(ctx, k9, hi_hood);
     EXPECT_EQ(marks.owner(2), std::max(k3, k9));
     EXPECT_EQ(owns3, k3 > k9);
     EXPECT_EQ(owns9, k9 > k3);

@@ -351,8 +351,6 @@ INSTANTIATE_TEST_SUITE_P(
                 true},
         GpuCase{core::ConflictScheme::kTwoPhaseRaceCheck, true, true, true,
                 true, false},
-        GpuCase{core::ConflictScheme::kTwoPhasePriority, true, true, true,
-                true, false, {0x6A, 0x04, 0x30}},
         GpuCase{core::ConflictScheme::kLocks, true, true, true, true, false,
                 {0x55, 0x00, 0x00}}));
 

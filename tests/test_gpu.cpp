@@ -11,7 +11,6 @@
 
 #include "gpu/cpu_runner.hpp"
 #include "gpu/device.hpp"
-#include "gpu/memory.hpp"
 #include "gpu/thread_pool.hpp"
 #include "gpu/worklist.hpp"
 
@@ -258,31 +257,6 @@ TEST(DeviceStats, AccumulatesAcrossLaunches) {
   dev.launch({1, 32}, [](ThreadCtx& ctx) { ctx.work(3); });
   EXPECT_EQ(dev.stats().launches, 2u);
   EXPECT_EQ(dev.stats().total_work, 160u);
-}
-
-TEST(DeviceHeap, AllocFreeRecycles) {
-  Device dev;
-  DeviceHeap<int> heap(dev, 64);
-  auto a = heap.alloc_chunk();
-  auto b = heap.alloc_chunk();
-  EXPECT_EQ(a.size(), 64u);
-  EXPECT_EQ(dev.stats().device_mallocs, 2u);
-  EXPECT_EQ(heap.chunks_live(), 2u);
-  heap.free_chunk(a);
-  EXPECT_EQ(heap.chunks_live(), 1u);
-  auto c = heap.alloc_chunk();
-  EXPECT_EQ(c.data(), a.data());               // recycled
-  EXPECT_EQ(dev.stats().device_mallocs, 2u);   // no new malloc
-  EXPECT_EQ(heap.chunks_recycled(), 1u);
-  heap.free_chunk(b);
-  heap.free_chunk(c);
-}
-
-TEST(DeviceHeap, RejectsForeignChunkSize) {
-  Device dev;
-  DeviceHeap<int> heap(dev, 8);
-  int local[4] = {};
-  EXPECT_THROW(heap.free_chunk(std::span<int>(local, 4)), CheckError);
 }
 
 TEST(GlobalWorklist, PushPopChargesAtomics) {

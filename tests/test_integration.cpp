@@ -7,7 +7,6 @@
 #include <optional>
 
 #include "dmr/cavity.hpp"
-#include "gpu/memory.hpp"
 #include "dmr/delaunay.hpp"
 #include "dmr/refine.hpp"
 #include "graph/generators.hpp"
@@ -152,20 +151,6 @@ TEST(MulticoreScaling, DmrModeledTimeImprovesWithWorkers) {
         << workers << " workers";
     EXPECT_EQ(runner.stats().total_work, first_work) << workers << " workers";
   }
-}
-
-TEST(MemoryStrategies, HeapRecyclingAcrossApps) {
-  // PTA allocates chunks; explicit deletion returns them; a second solve on
-  // the same device recycles instead of growing the heap.
-  gpu::Device dev;
-  gpu::DeviceHeap<std::uint32_t> heap(dev, 256);
-  std::vector<std::span<std::uint32_t>> chunks;
-  for (int i = 0; i < 10; ++i) chunks.push_back(heap.alloc_chunk());
-  for (auto& c : chunks) heap.free_chunk(c);
-  const auto mallocs = dev.stats().device_mallocs;
-  for (int i = 0; i < 10; ++i) heap.alloc_chunk();
-  EXPECT_EQ(dev.stats().device_mallocs, mallocs);
-  EXPECT_EQ(heap.chunks_recycled(), 10u);
 }
 
 TEST(Layout, ReorderReducesChargedGlobalAccessesPerCavity) {

@@ -399,17 +399,6 @@ TEST(Solve, MulticoreSolvesAndChargesSync) {
   EXPECT_GT(runner.stats().rounds, 0u);
 }
 
-TEST(Solve, WorkBudgetTriggersOot) {
-  const std::uint32_t n = 2000;
-  auto f =
-      random_ksat(n, static_cast<std::uint32_t>(hard_ratio(3) * n), 3, 12);
-  SpOptions opts;
-  opts.work_budget = 10000;  // absurdly small
-  const SpResult r = solve_serial(f, opts);
-  EXPECT_TRUE(r.out_of_time);
-  EXPECT_FALSE(r.solved);
-}
-
 TEST(Solve, UncachedCostBlowsUpWithK) {
   // The Fig. 9 effect: without the edge cache, per-sweep cost grows with
   // K * degree; with it, linearly in edges.
