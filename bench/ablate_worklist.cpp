@@ -5,10 +5,7 @@
 // that is accessed by all threads. A naive implementation of such a
 // worklist severely limits performance because work elements must be added
 // and removed atomically." This bench runs both drivers on the same mesh
-// and reports the atomics bill and modeled time. A third arm reruns the
-// data-driven driver with its sharded queue (dmr::DataDrivenQueue), so the
-// centralized-vs-sharded contention split (wl-contended ops vs local ring
-// ops) is visible in one report.
+// and reports the atomics bill and modeled time.
 #include "bench_common.hpp"
 #include "dmr/delaunay.hpp"
 #include "dmr/refine.hpp"
@@ -24,7 +21,7 @@ int run_bench(int argc, char** argv) {
   const dmr::Mesh base = dmr::generate_input_mesh(n, 27);
 
   Table t({"driver", "model-ms", "rounds", "processed", "abort-ratio",
-           "atomics x1e3", "wl-contended x1e3", "steals", "bad after"});
+           "atomics x1e3", "wl-contended x1e3", "bad after"});
   // One arm: refine a copy of the base mesh on a fresh device, then add
   // the table row and the report row.
   const auto arm = [&](const char* label, const char* key, auto&& refine) {
@@ -37,7 +34,6 @@ int run_bench(int argc, char** argv) {
                Table::num(st.abort_ratio(), 2),
                Table::num(dev.stats().atomics / 1e3, 1),
                Table::num(dev.stats().wl_contended_ops / 1e3, 1),
-               std::to_string(dev.stats().wl_steals),
                std::to_string(bad_after)});
     auto& rep = bench.add_row(key);
     bench.add_device_metrics(rep, dev);
@@ -46,19 +42,12 @@ int run_bench(int argc, char** argv) {
         .metric("abort_ratio", st.abort_ratio())
         .metric("bad_after", static_cast<double>(bad_after));
   };
-  const auto data_driven = [](dmr::DataDrivenQueue queue) {
-    return [queue](dmr::Mesh& m, gpu::Device& dev) {
-      dmr::RefineOptions opts;
-      opts.queue = queue;
-      return dmr::refine_gpu_datadriven(m, dev, opts);
-    };
-  };
   arm("topology-driven (local chunks)", "topology-driven",
       [](dmr::Mesh& m, gpu::Device& dev) { return dmr::refine_gpu(m, dev); });
   arm("data-driven (central worklist)", "data-driven",
-      data_driven(dmr::DataDrivenQueue::kCentral));
-  arm("data-driven (sharded worklist)", "data-driven-sharded",
-      data_driven(dmr::DataDrivenQueue::kSharded));
+      [](dmr::Mesh& m, gpu::Device& dev) {
+        return dmr::refine_gpu_datadriven(m, dev);
+      });
   t.print(std::cout);
   return bench.finish();
 }

@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -42,6 +43,7 @@
 #include "gpu/config.hpp"
 #include "gpu/device.hpp"
 #include "resilience/fault.hpp"
+#include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 #include "telemetry/bench_report.hpp"
@@ -49,6 +51,15 @@
 #include "telemetry/trace.hpp"
 
 namespace morph::bench {
+
+namespace detail {
+/// Set when a Bench unwinds (its body threw) after the sanitizer recorded
+/// findings; guarded_main then exits 4 as finish() would have.
+inline bool& unwound_with_findings() {
+  static bool flag = false;
+  return flag;
+}
+}  // namespace detail
 
 /// One bench run: CLI parsing (with unknown-flag warnings), the shared
 /// device configuration, the clock-derived model-ms scale, and the optional
@@ -112,6 +123,16 @@ class Bench {
     section(title, paper_ref);
   }
 
+  /// A body that throws (a failed MORPH_CHECK, say) never reaches finish():
+  /// the sanitizer's findings recorded so far are printed here instead.
+  ~Bench() {
+    if (!san_ || std::uncaught_exceptions() <= uncaught_at_start_) return;
+    san_->report(std::cerr);
+    if (!san_->clean()) detail::unwound_with_findings() = true;
+  }
+  Bench(const Bench&) = delete;
+  Bench& operator=(const Bench&) = delete;
+
   /// Prints a section header (the constructor prints one for `title`;
   /// benches with several tables call this in between).
   void section(const std::string& title, const std::string& paper_ref) const {
@@ -154,10 +175,7 @@ class Bench {
         .metric("reallocs", static_cast<double>(st.reallocs))
         .metric("bytes_allocated", static_cast<double>(st.bytes_allocated))
         .metric("bytes_copied", static_cast<double>(st.bytes_copied))
-        .metric("wl_local_ops", static_cast<double>(st.wl_local_ops))
         .metric("wl_contended_ops", static_cast<double>(st.wl_contended_ops))
-        .metric("wl_steals", static_cast<double>(st.wl_steals))
-        .metric("wl_spills", static_cast<double>(st.wl_spills))
         .metric("wl_contention_cycles",
                 st.wl_contention_cycles(dev.config().atomic_cost,
                                         dev.config().atomic_concurrency));
@@ -225,11 +243,14 @@ class Bench {
   double ms_per_cycle_ = 1e-6;
   std::unique_ptr<telemetry::TraceSink> sink_;
   telemetry::BenchReport report_;
+  int uncaught_at_start_ = std::uncaught_exceptions();
 };
 
 /// Runs a bench body, turning an unrecovered injected fault (FaultError:
-/// exhausted retries, watchdog give-up, invariant violation) into a clean
-/// nonzero exit instead of a terminate(). Mains do
+/// exhausted retries, watchdog give-up, invariant violation) and a failed
+/// MORPH_CHECK into a clean nonzero exit instead of a terminate(). A check
+/// failure exits 4 when the sanitizer had findings (the Bench printed them
+/// while unwinding, before the check message), else 1. Mains do
 /// `return bench::guarded_main([&] { ...; return bench.finish(); });`.
 template <typename F>
 int guarded_main(F&& body) {
@@ -238,6 +259,9 @@ int guarded_main(F&& body) {
   } catch (const FaultError& e) {
     std::cerr << "fault campaign failed: " << e.status().to_string() << "\n";
     return 3;
+  } catch (const CheckError& e) {
+    std::cerr << e.what() << "\n";
+    return detail::unwound_with_findings() ? 4 : 1;
   }
 }
 

@@ -15,7 +15,7 @@ trap 'rm -rf "$TMP"' EXIT
 
 # bench -> fast arguments (micro_primitives is google-benchmark and has its
 # own JSON output; it is not part of the snapshot). ablate_worklist runs on
-# one host worker: its central-queue arm pops from a shared list, so with
+# one host worker: its data-driven arm pops from one shared list, so with
 # more workers its schedule (and every modeled metric of that row) depends
 # on thread timing. The committed baselines were recorded on one worker.
 benches=(

@@ -18,6 +18,14 @@ echo "== tier 1: regular build (warnings are errors) + full ctest =="
 cmake -B "$BUILD" -S . -DMORPH_WERROR=ON
 cmake --build "$BUILD" -j "$JOBS"
 ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
+# A parameterized suite without a name generator registers each case under
+# the raw bytes gtest prints for its parameter: names that change whenever
+# the parameter type does, and that may hold uninitialized padding.
+if ctest --test-dir "$BUILD" -N | grep -F -- '-byte object <'; then
+  echo "ERROR: test names above print raw parameter bytes; give the suite" \
+       "a name generator" >&2
+  exit 1
+fi
 
 echo "== tier 1: lint (clang-tidy; skips when absent) =="
 scripts/lint.sh "$BUILD"
@@ -82,8 +90,8 @@ echo "== tier 1: hazard sanitizer (MorphSan clean paths + byte-identity) =="
 # a single modeled metric: the JSON reports diff clean against unsanitized
 # runs (wall-clock metrics carry the diff tool's default tolerance).
 # ablate_worklist feeds the worklist class through refine_gpu_datadriven's
-# GlobalWorklist and ShardedWorklist; one host worker, because its central
-# arm's pop order depends on thread timing otherwise.
+# GlobalWorklist; one host worker, because the central queue's pop order
+# depends on thread timing otherwise.
 for spec in "fig6_dmr_runtime --scale=64" "fig9_sp --scale=400" "fig10_pta" \
             "fig11_mst --scale=16" \
             "ablate_worklist --triangles=10000 --host-workers=1"; do
@@ -202,7 +210,7 @@ echo "== tier 1: perf (bench snapshot vs committed baseline) =="
 # is tight, with a little slack on the aggregate cycle counts so a
 # legitimately-moved metric points at the PR that moved it (regenerate the
 # baseline with scripts/bench_snapshot.sh when the move is intentional).
-BASELINE="BENCH_2026-10-19.json"
+BASELINE="BENCH_2026-10-20.json"
 if [[ -f "$BASELINE" ]]; then
   scripts/bench_snapshot.sh "$BUILD" "$SMOKE/snapshot.json" > /dev/null
   "$BUILD"/tools/morph-report diff "$BASELINE" "$SMOKE/snapshot.json" \

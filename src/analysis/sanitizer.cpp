@@ -1,6 +1,5 @@
 #include "analysis/sanitizer.hpp"
 
-#include <algorithm>
 #include <ostream>
 #include <sstream>
 
@@ -393,25 +392,6 @@ void Sanitizer::on_wl_reset(const void* list) {
     it->second.slots.clear();
     it->second.popped_below = 0;
   }
-}
-
-void Sanitizer::on_wl_compact(const void* list, std::uint64_t head,
-                              std::uint64_t commit) {
-  std::scoped_lock lock(mu_);
-  auto it = lists_.find(list);
-  if (it == lists_.end()) return;
-  ListShadow& sh = it->second;
-  std::unordered_map<std::uint64_t, ListShadow::Slot> moved;
-  for (std::uint64_t s = head; s < commit; ++s) {
-    auto slot = sh.slots.find(s);
-    if (slot != sh.slots.end()) {
-      moved.emplace(s - head, slot->second);
-    }
-  }
-  sh.slots = std::move(moved);
-  // The popped prefix that stays inside the window moves with it.
-  sh.popped_below =
-      sh.popped_below > head ? std::min(sh.popped_below, commit) - head : 0;
 }
 
 // --- memory --------------------------------------------------------------

@@ -161,7 +161,7 @@ class Sanitizer {
                         std::span<const std::uint32_t> elements);
 
   // --- worklist claim-commit slots (worklist) ---------------------------
-  // `list` identifies the ring (callers pass the worklist / shard address);
+  // `list` identifies the ring (callers pass the ring address);
   // slots follow Free -> Claimed -> Published -> Popped.
 
   void on_wl_claim(const void* list, const char* name, std::uint32_t block,
@@ -171,10 +171,6 @@ class Sanitizer {
                  std::uint64_t slot);
   /// Ring discarded (ClaimRing::reset): every slot returns to Free.
   void on_wl_reset(const void* list);
-  /// Host-side compaction (ClaimRing::compact): the live window
-  /// [head, commit) moves to the front of the ring; slot states follow.
-  void on_wl_compact(const void* list, std::uint64_t head,
-                     std::uint64_t commit);
 
   // --- recycler shadow (memory) -----------------------------------------
 

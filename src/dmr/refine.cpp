@@ -600,32 +600,15 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
 
   // The centralized worklist. Sized generously; push failures fall back to
   // the next refill sweep. Attaching the device arms the overflow fault
-  // class when a campaign is running. Under DataDrivenQueue::kSharded it is
-  // demoted to the shards' spill target: work normally lives in the
-  // ShardedWorklist, partitioned so a block pops (and requeues to) its own
-  // shards, and the centralized atomic index is off the hot path.
-  const bool sharded = opts.queue == DataDrivenQueue::kSharded;
+  // class when a campaign is running.
   const std::size_t wl_cap =
       std::max<std::size_t>(1u << 16, m.num_slots() * 4);
   gpu::GlobalWorklist<Tri> worklist(wl_cap, &dev);
-  std::optional<gpu::ShardedWorklist<Tri>> shards;
-  if (sharded) {
-    const std::size_t S = 4 * dev.config().num_sms;
-    shards.emplace(S, wl_cap / S + 1, &dev, &worklist);
-  }
-  // Host-side fill (charges are discarded): bad triangles go to the shard of
-  // their pseudo-partition (slot ranges are spatial after the layout pass),
-  // or to the centralized list.
+  // Host-side fill (charges are discarded).
   const auto seed_worklist = [&] {
     gpu::ThreadCtx seed_ctx;
     for (Tri t = 0; t < m.num_slots(); ++t) {
-      if (m.is_deleted(t) || !m.is_bad(t)) continue;
-      if (sharded) {
-        (void)shards->push(seed_ctx, shards->partition_shard(t, m.num_slots()),
-                           t);
-      } else {
-        worklist.push(seed_ctx, t);
-      }
+      if (!m.is_deleted(t) && m.is_bad(t)) worklist.push(seed_ctx, t);
     }
   };
   seed_worklist();
@@ -633,34 +616,16 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
   while (run.more_rounds()) {
     GpuRefinement::Round& r = run.begin_round("dmr.refine.dd");
 
-    // Requeue a triangle for a later round; Status intentionally dropped on
-    // a full list — the refill sweep below re-discovers lost work. Sharded:
-    // new work targets the committing block's own shard (pseudo-partition
-    // locality); a full shard spills to the centralized list and is drained
-    // back by the post-launch rebalance.
-    auto requeue = [&](gpu::ThreadCtx& ctx, Tri v) {
-      if (sharded) {
-        (void)shards->push(ctx, shards->home_shard(ctx.block(), r.lc.blocks),
-                           v);
-      } else {
-        (void)worklist.push(ctx, v);
-      }
-    };
-
     const gpu::Phase phases[3] = {
-        // Pop + cavity building: block-parallel. Centralized: which thread
-        // pops which item depends on the pop interleaving, so the schedule
-        // is not bit-deterministic across host_workers values; the worklist
-        // guarantees only that no item is lost or duplicated. Sharded: a
-        // block pops only from the shards it owns and its threads run in
-        // ascending order on one host worker, so the whole schedule — and
-        // every downstream stat — is bit-identical for any host_workers.
+        // Pop + cavity building: block-parallel. Which thread pops which
+        // item depends on the pop interleaving, so the schedule is not
+        // bit-deterministic across host_workers values; the worklist
+        // guarantees only that no item is lost or duplicated.
         {[&](gpu::ThreadCtx& ctx) {
           const std::uint32_t t = ctx.tid();
           // Pop until a live bad triangle appears (stale ids are skipped).
           for (;;) {
-            const auto popped = sharded ? shards->pop_owned(ctx, r.lc.blocks)
-                                        : worklist.pop(ctx);
+            const auto popped = worklist.pop(ctx);
             if (!popped) return;
             const Tri x = *popped;
             ctx.work(1);
@@ -677,44 +642,35 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
         }, /*sequential=*/false},
         run.priority_phase(r),
         // Commit: mesh mutation and requeue pushes, in ascending thread
-        // order on one host thread (see GpuRefinement::commit).
+        // order on one host thread (see GpuRefinement::commit). A push to a
+        // full list is dropped: the refill sweep below re-discovers it.
         {[&](gpu::ThreadCtx& ctx) {
           const std::uint32_t t = ctx.tid();
           if (r.cand[t] == Mesh::kNone) return;
           if (r.owns[t] && marks.check(ctx, r.key(t), r.hood[t])) {
             for (Tri a : run.commit(ctx, r, t)) {
-              if (m.is_bad(a)) requeue(ctx, a);
+              if (m.is_bad(a)) (void)worklist.push(ctx, a);
             }
             if (!m.is_deleted(r.cand[t]) && m.is_bad(r.cand[t])) {
-              requeue(ctx, r.cand[t]);  // segment-split leftovers
+              (void)worklist.push(ctx, r.cand[t]);  // segment-split leftovers
             }
           } else {
-            requeue(ctx, r.cand[t]);  // aborted: requeue
+            (void)worklist.push(ctx, r.cand[t]);  // aborted: requeue
             ++r.aborted;
           }
         }, /*sequential=*/true},
     };
     dev.launch_phases(r.lc, phases, opts.barrier);
-
-    // Sharded: the deterministic steal. Spilled items are drained back from
-    // the centralized list and starved shards are fed from rich ones, all
-    // host-side in shard order, so the redistribution (and its steal/spill
-    // counters) replays identically for any host_workers value.
-    if (sharded) shards->rebalance();
     dev.note_counter("worklist.occupancy",
-                     static_cast<double>(sharded ? shards->size()
-                                                 : worklist.size()));
+                     static_cast<double>(worklist.size()));
 
     // Refill sweep when pushes were dropped or the queue ran dry while bad
     // triangles remain (also the live-lock escape: the refill reorders).
     // This sweep is the recovery ladder for dropped/overflowed pushes: no
     // work is ever lost, because every still-bad triangle is rediscovered
     // from the mesh itself.
-    const std::size_t wl_remaining =
-        worklist.size() + (sharded ? shards->size() : 0);
-    if (run.bad_count() > 0 && wl_remaining == 0) {
+    if (run.bad_count() > 0 && worklist.size() == 0) {
       worklist.reset();
-      if (sharded) shards->reset();
       seed_worklist();
       ++run.stats().fallbacks;
       if (dev.faults_armed()) {

@@ -22,18 +22,6 @@
 
 namespace morph::dmr {
 
-/// Worklist organization of refine_gpu_datadriven (paper Sec. 7.5).
-enum class DataDrivenQueue {
-  /// One GlobalWorklist: every push and pop is an atomic index claim. The
-  /// paper's centralized-queue baseline.
-  kCentral,
-  /// A ShardedWorklist of 4 shards per SM, seeded by pseudo-partition: a
-  /// block pops from and requeues to the shards it owns, the host steals
-  /// between launches, and the central list is only the spill target. The
-  /// only arm whose schedule is bit-identical for any host_workers value.
-  kSharded,
-};
-
 struct RefineOptions {
   double min_angle_deg = 30.0;
 
@@ -71,9 +59,6 @@ struct RefineOptions {
   /// kInvariantViolation — and validated once more after refinement
   /// converges. Off by default (full validation is O(mesh)).
   bool validate_invariants = false;
-
-  /// Data-driven driver only: how bad triangles are dispensed (Sec. 7.5).
-  DataDrivenQueue queue = DataDrivenQueue::kCentral;
 };
 
 struct RefineStats {
@@ -104,10 +89,10 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev,
                        const RefineOptions& opts = {});
 
 /// The *data-driven* alternative the paper rejects (Sec. 2): bad triangles
-/// are dispensed from a worklist organized per RefineOptions::queue. Same
-/// 3-phase conflict resolution, same result; kept so the worklist ablation
-/// can quantify the centralized-queue bottleneck against the
-/// topology-driven design and against sharding.
+/// are dispensed from one centralized GlobalWorklist, an atomic index claim
+/// per push and pop. Same 3-phase conflict resolution, same result; kept so
+/// the worklist ablation can quantify the centralized-queue bottleneck
+/// against the topology-driven design.
 RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
                                   const RefineOptions& opts = {});
 

@@ -146,7 +146,6 @@ KernelStats Device::launch_phases(const LaunchConfig& lc,
     std::uint64_t mem = 0;
     std::uint64_t warp_steps = 0;
     std::uint64_t max_thread = 0;
-    std::uint64_t wl_local = 0;
     std::uint64_t wl_contended = 0;
   };
   std::vector<BlockAcc> acc(lc.blocks);
@@ -178,7 +177,6 @@ KernelStats Device::launch_phases(const LaunchConfig& lc,
         a.work += ctx.work_;
         a.atomics += ctx.atomics_;
         a.mem += ctx.mem_;
-        a.wl_local += ctx.wl_local_;
         a.wl_contended += ctx.wl_contended_;
         a.max_thread = std::max(a.max_thread, ctx.work_);
         warp_max = std::max(warp_max, ctx.work_);
@@ -229,7 +227,6 @@ KernelStats Device::launch_phases(const LaunchConfig& lc,
       ph.atomics += a.atomics;
       ph.mem += a.mem;
       ph.warp_steps += a.warp_steps;
-      ph.wl_local += a.wl_local;
       ph.wl_contended += a.wl_contended;
       ph.max_thread = std::max(ph.max_thread, a.max_thread);
     }
@@ -237,7 +234,6 @@ KernelStats Device::launch_phases(const LaunchConfig& lc,
     ks.total_work += ph.work;
     ks.atomics += ph.atomics;
     ks.global_accesses += ph.mem;
-    ks.wl_local_ops += ph.wl_local;
     ks.wl_contended_ops += ph.wl_contended;
     ks.warp_steps += ph.warp_steps;
     ks.max_thread_work = std::max(ks.max_thread_work, ph.max_thread);
@@ -368,15 +364,6 @@ void Device::note_counter(const std::string& name, double value) {
   ev.ts_cycles = stats_.modeled_cycles;
   ev.value = value;
   cfg_.trace->record(0, std::move(ev));
-}
-
-void Device::note_worklist_rebalance(std::uint64_t steals,
-                                     std::uint64_t spills) {
-  stats_.wl_steals += steals;
-  stats_.wl_spills += spills;
-  if (!cfg_.trace) return;
-  note_counter("worklist.steals", static_cast<double>(stats_.wl_steals));
-  note_counter("worklist.spills", static_cast<double>(stats_.wl_spills));
 }
 
 void Device::note_fault(resilience::FaultClass cls, const std::string& what) {

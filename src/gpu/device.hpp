@@ -73,19 +73,12 @@ class ThreadCtx {
   /// Charge an un-coalesced global memory access.
   void global_access(std::uint64_t n = 1) { mem_ += n; }
 
-  /// Charge one worklist operation. A contended op claims a shared atomic
-  /// index (centralized list, spill, steal) and costs an atomic_op(); a
-  /// local op touches a ring no other block pops during the phase and costs
-  /// plain work(). Both classes are tallied separately so benches can
-  /// attribute the contention bill (KernelStats::wl_*_ops).
-  void worklist_op(bool contended) {
-    if (contended) {
-      ++wl_contended_;
-      atomic_op();
-    } else {
-      ++wl_local_;
-      work();
-    }
+  /// Charge one worklist operation: a claim on the shared atomic index of a
+  /// centralized list, costed as an atomic_op() and tallied separately so
+  /// benches can attribute the contention bill (KernelStats::wl_contended_ops).
+  void worklist_op() {
+    ++wl_contended_;
+    atomic_op();
   }
 
   std::uint64_t counted_work() const { return work_; }
@@ -109,7 +102,6 @@ class ThreadCtx {
   std::uint64_t work_ = 0;
   std::uint64_t atomics_ = 0;
   std::uint64_t mem_ = 0;
-  std::uint64_t wl_local_ = 0;
   std::uint64_t wl_contended_ = 0;
   Device* dev_ = nullptr;
 };
@@ -155,12 +147,6 @@ class Device {
   /// Records a named counter sample (e.g. worklist occupancy) on the trace
   /// at the current modeled-cycle timestamp. No-op when tracing is off.
   void note_counter(const std::string& name, double value);
-
-  /// Records the outcome of a ShardedWorklist host-side rebalance: bumps
-  /// DeviceStats::wl_steals / wl_spills and (when tracing) emits cumulative
-  /// "worklist.steals" / "worklist.spills" counter samples. Called between
-  /// launches only, so the counts are deterministic for any host_workers.
-  void note_worklist_rebalance(std::uint64_t steals, std::uint64_t spills);
 
   // --- fault injection (resilience campaigns) ---
 

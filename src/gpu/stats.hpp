@@ -17,10 +17,8 @@ struct KernelStats {
   std::uint64_t atomics = 0;         ///< counted atomic operations
   std::uint64_t global_accesses = 0; ///< counted global-memory accesses
 
-  // Worklist traffic split by contention class (ThreadCtx::worklist_op):
-  // local ops touch a ring no other block pops during the phase, contended
-  // ops claim a shared atomic index (the centralized list, spills, steals).
-  std::uint64_t wl_local_ops = 0;
+  // Worklist ops (ThreadCtx::worklist_op): each claims the shared atomic
+  // index of a centralized list.
   std::uint64_t wl_contended_ops = 0;
 
   double modeled_cycles = 0.0;       ///< cost-model makespan of this launch
@@ -51,14 +49,8 @@ struct DeviceStats {
   std::uint64_t bytes_allocated = 0;
   std::uint64_t bytes_copied = 0;    ///< host<->device + realloc copies
 
-  // Worklist activity (paper Sec. 7.5). Ops are absorbed from KernelStats;
-  // steals/spills are counted by the host-side rebalance of a
-  // ShardedWorklist (Device::note_worklist_rebalance) and stay zero in
-  // centralized mode.
-  std::uint64_t wl_local_ops = 0;     ///< uncontended per-shard ring ops
-  std::uint64_t wl_contended_ops = 0; ///< shared-index claims (central/steal)
-  std::uint64_t wl_steals = 0;        ///< items moved between shards
-  std::uint64_t wl_spills = 0;        ///< items spilled to the global list
+  // Worklist activity (paper Sec. 7.5), absorbed from KernelStats.
+  std::uint64_t wl_contended_ops = 0; ///< shared-index claims
 
   // Resilience activity (zero unless a fault campaign is armed).
   std::uint64_t faults_injected = 0;  ///< injected fault events
@@ -78,7 +70,6 @@ struct DeviceStats {
     warp_steps += k.warp_steps;
     atomics += k.atomics;
     global_accesses += k.global_accesses;
-    wl_local_ops += k.wl_local_ops;
     wl_contended_ops += k.wl_contended_ops;
     modeled_cycles += k.modeled_cycles;
   }
@@ -100,17 +91,14 @@ struct DeviceStats {
     d.reallocs -= base.reallocs;
     d.bytes_allocated -= base.bytes_allocated;
     d.bytes_copied -= base.bytes_copied;
-    d.wl_local_ops -= base.wl_local_ops;
     d.wl_contended_ops -= base.wl_contended_ops;
-    d.wl_steals -= base.wl_steals;
-    d.wl_spills -= base.wl_spills;
     d.faults_injected -= base.faults_injected;
     d.faults_recovered -= base.faults_recovered;
     return d;
   }
 
-  /// Modeled cycles spent on contended worklist index claims — the
-  /// contention bill the sharded mode exists to shrink. Derived, not
+  /// Modeled cycles spent on worklist index claims — the centralized
+  /// queue's atomic bill (paper Sec. 7.5). Derived, not
   /// additive into modeled_cycles (those ops are already charged as
   /// atomics by the cost model).
   double wl_contention_cycles(double atomic_cost,

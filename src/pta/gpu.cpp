@@ -10,7 +10,7 @@
 // merged between launches (ChunkList), the propagation phase reads the
 // round-start points-to image and commits grown sets host-side in
 // deterministic order, and every op charge is computed against pre-phase
-// state (the snapshot-charging rule, DESIGN.md §6.2).
+// state (the snapshot-charging rule, DESIGN.md §6.1).
 #include <algorithm>
 #include <mutex>
 #include <utility>
@@ -33,7 +33,7 @@ constexpr std::uint32_t kInitialTpb = 128;
 
 /// Per-node chunked neighbor list backed by device-heap chunks.
 ///
-/// Determinism contract (DESIGN.md §6.2): during a launch the *canonical*
+/// Determinism contract (DESIGN.md §6.1): during a launch the *canonical*
 /// chunks are immutable — same-phase inserts are parked in a host-side
 /// pending buffer — so a membership walk, and the ops it charges, is a pure
 /// function of the pre-phase snapshot, never of cross-thread interleaving.

@@ -203,10 +203,7 @@ JobExecStats JobExecStats::from_stats(const gpu::DeviceStats& st) {
   out.reallocs = st.reallocs;
   out.bytes_allocated = st.bytes_allocated;
   out.bytes_copied = st.bytes_copied;
-  out.wl_local_ops = st.wl_local_ops;
   out.wl_contended_ops = st.wl_contended_ops;
-  out.wl_steals = st.wl_steals;
-  out.wl_spills = st.wl_spills;
   out.faults_injected = st.faults_injected;
   out.faults_recovered = st.faults_recovered;
   out.modeled_cycles = st.modeled_cycles;
@@ -226,10 +223,7 @@ Json JobExecStats::to_json() const {
   o.set("reallocs", reallocs);
   o.set("bytes_allocated", bytes_allocated);
   o.set("bytes_copied", bytes_copied);
-  o.set("wl_local_ops", wl_local_ops);
   o.set("wl_contended_ops", wl_contended_ops);
-  o.set("wl_steals", wl_steals);
-  o.set("wl_spills", wl_spills);
   o.set("faults_injected", faults_injected);
   o.set("faults_recovered", faults_recovered);
   return o;

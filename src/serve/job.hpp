@@ -100,10 +100,7 @@ struct JobExecStats {
   std::uint64_t reallocs = 0;
   std::uint64_t bytes_allocated = 0;
   std::uint64_t bytes_copied = 0;
-  std::uint64_t wl_local_ops = 0;
   std::uint64_t wl_contended_ops = 0;
-  std::uint64_t wl_steals = 0;
-  std::uint64_t wl_spills = 0;
   std::uint64_t faults_injected = 0;
   std::uint64_t faults_recovered = 0;
   double modeled_cycles = 0.0;

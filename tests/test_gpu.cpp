@@ -4,9 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "gpu/cpu_runner.hpp"
@@ -266,13 +263,16 @@ TEST(GlobalWorklist, PushPopChargesAtomics) {
     wl.push(ctx, static_cast<int>(ctx.tid()));
   });
   EXPECT_EQ(ks.atomics, 4u);
+  EXPECT_EQ(ks.wl_contended_ops, 4u);
   EXPECT_EQ(wl.size(), 4u);
   std::vector<int> seen;
-  dev.launch({1, 4}, [&](ThreadCtx& ctx) {
+  const KernelStats pops = dev.launch({1, 4}, [&](ThreadCtx& ctx) {
     auto v = wl.pop(ctx);
     ASSERT_TRUE(v.has_value());
     seen.push_back(*v);
   });
+  EXPECT_EQ(pops.wl_contended_ops, 4u);
+  EXPECT_EQ(dev.stats().wl_contended_ops, 8u);
   std::sort(seen.begin(), seen.end());
   EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3}));
 }
@@ -362,197 +362,6 @@ TEST(GlobalWorklist, ResetRestoresInvariant) {
   EXPECT_FALSE(wl.pop(ctx).has_value());
   EXPECT_TRUE(wl.push(ctx, 10));
   EXPECT_EQ(wl.pop(ctx).value(), 10);
-}
-
-TEST(ShardedWorklist, OwnedRangesPartitionTheShards) {
-  ShardedWorklist<int> wl(8, 4);
-  // blocks <= shards: the per-block ranges tile [0, shards) exactly once.
-  for (std::uint32_t blocks : {1u, 3u, 5u, 8u}) {
-    std::vector<int> owner(8, -1);
-    for (std::uint32_t b = 0; b < blocks; ++b) {
-      const auto r = wl.owned_range(b, blocks);
-      for (std::size_t s = r.lo; s < r.hi; ++s) {
-        EXPECT_EQ(owner[s], -1) << "shard " << s << " owned twice";
-        owner[s] = static_cast<int>(b);
-      }
-    }
-    for (std::size_t s = 0; s < 8; ++s) {
-      EXPECT_NE(owner[s], -1) << "shard " << s << " unowned at " << blocks;
-    }
-  }
-  // blocks > shards: the first `shards` blocks own one shard each, the
-  // surplus own nothing but still get a home shard for their pushes.
-  for (std::uint32_t b = 0; b < 8; ++b) {
-    const auto r = wl.owned_range(b, 20);
-    EXPECT_EQ(r.lo, b);
-    EXPECT_EQ(r.hi, b + 1u);
-  }
-  EXPECT_TRUE(wl.owned_range(8, 20).empty());
-  EXPECT_TRUE(wl.owned_range(19, 20).empty());
-  EXPECT_EQ(wl.home_shard(19, 20), 19u % 8u);
-}
-
-TEST(ShardedWorklist, PushPopChargesLocalWorkNotAtomics) {
-  Device dev;
-  ShardedWorklist<int> wl(4, 8);
-  const KernelStats ks = dev.launch({4, 2}, [&](ThreadCtx& ctx) {
-    const std::size_t home = wl.home_shard(ctx.block(), 4);
-    (void)wl.push(ctx, home, static_cast<int>(ctx.tid()));
-  });
-  EXPECT_EQ(ks.atomics, 0u);           // the whole point of sharding
-  EXPECT_EQ(ks.wl_local_ops, 8u);
-  EXPECT_EQ(ks.wl_contended_ops, 0u);
-  EXPECT_EQ(wl.size(), 8u);
-  std::vector<int> seen;
-  dev.launch({4, 2}, [&](ThreadCtx& ctx) {
-    if (auto v = wl.pop_owned(ctx, 4)) seen.push_back(*v);
-  });
-  std::sort(seen.begin(), seen.end());
-  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-}
-
-TEST(ShardedWorklist, SpillLadderRoundTripsThroughRebalance) {
-  // A full ring falls through to the centralized list (counted as a spill);
-  // the next rebalance drains it back into the emptiest ring.
-  Device dev;
-  GlobalWorklist<int> spill(16);
-  ShardedWorklist<int> wl(2, 2, &dev, &spill);
-  ThreadCtx ctx;
-  ASSERT_TRUE(wl.push(ctx, 0, 1).ok());
-  ASSERT_TRUE(wl.push(ctx, 0, 2).ok());
-  ASSERT_TRUE(wl.push(ctx, 0, 3).ok());  // ring full -> spills
-  EXPECT_EQ(wl.spills(), 1u);
-  EXPECT_EQ(spill.size(), 1u);
-  EXPECT_EQ(wl.size(), 2u);
-  wl.rebalance();
-  EXPECT_EQ(spill.size(), 0u);
-  EXPECT_EQ(wl.size(), 3u);
-  EXPECT_EQ(dev.stats().wl_spills, 1u);
-  // Nothing lost: drain every shard.
-  std::vector<int> all;
-  for (std::size_t s = 0; s < wl.num_shards(); ++s) {
-    while (auto v = wl.pop(ctx, s)) all.push_back(*v);
-  }
-  std::sort(all.begin(), all.end());
-  EXPECT_EQ(all, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(ShardedWorklist, RebalanceFeedsStarvedShardsDeterministically) {
-  // All work lands in shard 0; rebalance moves half of it to each starved
-  // shard in index order. Same content in, same layout out — run it twice.
-  auto layout = [] {
-    ShardedWorklist<int> wl(4, 64);
-    ThreadCtx ctx;
-    for (int i = 0; i < 40; ++i) (void)wl.push(ctx, 0, i);
-    wl.rebalance();
-    std::vector<std::vector<int>> per_shard(4);
-    for (std::size_t s = 0; s < 4; ++s) {
-      while (auto v = wl.pop(ctx, s)) per_shard[s].push_back(*v);
-    }
-    return std::pair(per_shard, wl.steals());
-  };
-  const auto [a, steals_a] = layout();
-  const auto [b, steals_b] = layout();
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(steals_a, steals_b);
-  EXPECT_GT(steals_a, 0u);
-  std::size_t total = 0;
-  for (const auto& s : a) {
-    EXPECT_FALSE(s.empty()) << "rebalance left a shard starved";
-    total += s.size();
-  }
-  EXPECT_EQ(total, 40u);
-}
-
-TEST(ShardedWorklist, ConcurrentStressLosesAndDuplicatesNothing) {
-  // 8 host workers: every block pushes unique values to its home shard,
-  // pops from its owned shard, and pops from its right neighbor's shard
-  // while that neighbor is mid-push. The rings are MPMC (same
-  // claim-then-publish protocol as GlobalWorklist), so every value must
-  // surface exactly once.
-  constexpr std::uint32_t kBlocks = 8, kTpb = 16, kPerThread = 8;
-  DeviceConfig cfg;
-  cfg.host_workers = 8;
-  Device dev(cfg);
-  for (int round = 0; round < 3; ++round) {
-    ShardedWorklist<std::uint32_t> wl(kBlocks, kTpb * kPerThread * 2);
-    std::vector<std::vector<std::uint32_t>> got(kBlocks * kTpb);
-    dev.launch({kBlocks, kTpb}, [&](ThreadCtx& ctx) {
-      const std::uint32_t t = ctx.tid();
-      const std::size_t home = wl.home_shard(ctx.block(), kBlocks);
-      const std::size_t victim = (ctx.block() + 1) % kBlocks;
-      for (std::uint32_t k = 0; k < kPerThread; ++k) {
-        ASSERT_TRUE(wl.push(ctx, home, t * kPerThread + k).ok());
-        if (k % 2 == 1) {
-          if (auto v = wl.pop_owned(ctx, kBlocks)) got[t].push_back(*v);
-        } else if (k % 4 == 0) {
-          if (auto v = wl.pop(ctx, victim)) got[t].push_back(*v);
-        }
-      }
-    });
-    ThreadCtx drain;
-    std::vector<std::uint32_t> all;
-    for (std::size_t s = 0; s < wl.num_shards(); ++s) {
-      while (auto v = wl.pop(drain, s)) all.push_back(*v);
-    }
-    for (const auto& g : got) all.insert(all.end(), g.begin(), g.end());
-    ASSERT_EQ(all.size(),
-              static_cast<std::size_t>(kBlocks) * kTpb * kPerThread);
-    std::sort(all.begin(), all.end());
-    for (std::uint32_t i = 0; i < kBlocks * kTpb * kPerThread; ++i) {
-      ASSERT_EQ(all[i], i) << "item lost or duplicated";
-    }
-  }
-}
-
-TEST(ShardedWorklist, OwnedPopsAndRebalanceBitIdenticalAcrossWorkers) {
-  // The sharded analogue of Launch.StatsBitIdenticalAcrossHostWorkers: a
-  // round-based driver (parallel owned pops -> sequential requeue -> host
-  // rebalance) must produce identical stats, steal counts and processing
-  // order for any worker count.
-  auto run = [](std::uint32_t workers) {
-    DeviceConfig cfg;
-    cfg.host_workers = workers;
-    Device dev(cfg);
-    ShardedWorklist<std::uint32_t> wl(8, 512, &dev);
-    ThreadCtx host;
-    for (std::uint32_t i = 0; i < 300; ++i) {
-      (void)wl.push(host, wl.partition_shard(i, 300), i);
-    }
-    std::vector<std::uint32_t> order;
-    std::mutex order_mu;
-    for (int round = 0; round < 4; ++round) {
-      std::vector<std::vector<std::uint32_t>> requeue(8);
-      const Phase phases[2] = {
-          {[&](ThreadCtx& ctx) {
-            if (ctx.thread_in_block() != 0) return;
-            std::vector<std::uint32_t> mine;
-            while (auto v = wl.pop_owned(ctx, 8)) mine.push_back(*v);
-            // Blocks finish in any order; publication happens in the
-            // sequential phase below, in block order.
-            std::scoped_lock lock(order_mu);
-            requeue[ctx.block()] = std::move(mine);
-          }, /*sequential=*/false},
-          {[&](ThreadCtx& ctx) {
-            if (ctx.thread_in_block() != 0) return;
-            for (std::uint32_t v : requeue[ctx.block()]) {
-              order.push_back(v);
-              if (v % 3 == 0 && round < 3) {  // some work respawns children
-                (void)wl.push(ctx, wl.home_shard(ctx.block(), 8), v + 1000);
-              }
-            }
-          }, /*sequential=*/true},
-      };
-      dev.launch_phases({8, 32}, std::span<const Phase>(phases));
-      wl.rebalance();
-    }
-    return std::tuple(order, wl.steals(), dev.stats().modeled_cycles,
-                      dev.stats().wl_local_ops, dev.stats().wl_steals);
-  };
-  const auto a = run(1);
-  for (std::uint32_t workers : {2u, 4u, 8u}) {
-    EXPECT_EQ(a, run(workers)) << "workers=" << workers;
-  }
 }
 
 TEST(ThreadPool, InlineModeRunsAllTasks) {
