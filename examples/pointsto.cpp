@@ -1,7 +1,7 @@
 // Compiler points-to analysis (the paper's PTA application): builds the
 // constraint set of a small C program by hand — the paper's Figure 5 — and
 // analyzes a larger synthetic program on the simulated GPU, comparing the
-// pull-based solution with the serial reference.
+// pull-based solution with the serial reference; exits 1 when they differ.
 //
 //   ./build/examples/pointsto --vars=6126 --cons=6768
 #include <iostream>
@@ -50,6 +50,7 @@ int run(int argc, char** argv) {
                                      .faults = cli.faults()});
   const pta::PtsSets gpu_pts = pta::solve_gpu(big, dev2, {}, &st);
   const pta::PtsSets ref = pta::solve_serial(big);
+  const bool matches = pta::equal_pts(gpu_pts, ref);
 
   std::cout << "\nsynthetic program (" << vars << " vars, " << cons
             << " constraints):\n"
@@ -58,8 +59,8 @@ int run(int argc, char** argv) {
             << "  points-to facts:        " << st.pts_total << '\n'
             << "  chunk mallocs (device): " << st.device_mallocs << '\n'
             << "  matches serial solver:  "
-            << (pta::equal_pts(gpu_pts, ref) ? "yes" : "NO") << '\n';
-  return 0;
+            << (matches ? "yes" : "NO") << '\n';
+  return matches ? 0 : 1;
 }
 
 int main(int argc, char** argv) {

@@ -18,14 +18,25 @@ echo "== tier 1: regular build (warnings are errors) + full ctest =="
 cmake -B "$BUILD" -S . -DMORPH_WERROR=ON
 cmake --build "$BUILD" -j "$JOBS"
 ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
+LISTED="$(ctest --test-dir "$BUILD" -N)"
 # A parameterized suite without a name generator registers each case under
 # the raw bytes gtest prints for its parameter: names that change whenever
 # the parameter type does, and that may hold uninitialized padding.
-if ctest --test-dir "$BUILD" -N | grep -F -- '-byte object <'; then
+if grep -F -- '-byte object <' <<< "$LISTED"; then
   echo "ERROR: test names above print raw parameter bytes; give the suite" \
        "a name generator" >&2
   exit 1
 fi
+# Every example with a main() runs as ctest test example.<name> (see
+# examples/CMakeLists.txt), so none can be built and never run.
+for src in examples/*.cpp; do
+  grep -q '^int main(' "$src" || continue
+  name="$(basename "$src" .cpp)"
+  if ! grep -qE ": example\.${name}\$" <<< "$LISTED"; then
+    echo "ERROR: $src has a main() but no ctest entry example.$name" >&2
+    exit 1
+  fi
+done
 
 echo "== tier 1: lint (clang-tidy; skips when absent) =="
 scripts/lint.sh "$BUILD"

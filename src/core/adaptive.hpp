@@ -45,7 +45,6 @@ class AdaptiveLauncher {
     return lc;
   }
 
-  std::uint32_t current_tpb() const { return tpb_; }
   std::uint32_t blocks() const { return blocks_; }
 
  private:

@@ -65,17 +65,6 @@ int Mesh::edge_index(Tri t, Vtx a, Vtx b) const {
   return -1;
 }
 
-void Mesh::replace_neighbor(Tri t_from, Tri t_old, Tri t_new) {
-  for (int i = 0; i < 3; ++i) {
-    if (nbr_[t_from][i] == t_old) {
-      nbr_[t_from][i] = t_new;
-      return;
-    }
-  }
-  MORPH_CHECK_MSG(false, "triangle " << t_old << " is not a neighbor of "
-                                     << t_from);
-}
-
 bool Mesh::validate(std::string* why) const {
   auto fail = [&](const std::string& msg) {
     if (why) *why = msg;

@@ -52,7 +52,6 @@ class Mesh {
   std::size_t num_live() const { return live_; }
 
   const std::array<Vtx, 3>& verts(Tri t) const { return tri_[t]; }
-  const std::array<Tri, 3>& neighbors(Tri t) const { return nbr_[t]; }
 
   bool is_deleted(Tri t) const { return deleted_[t] != 0; }
   void mark_deleted(Tri t) {
@@ -87,10 +86,6 @@ class Mesh {
 
   /// Triangle across edge `edge` of t (kBoundary for hull edges).
   Tri across(Tri t, int edge) const { return nbr_[t][edge]; }
-
-  /// Re-points the (t_from -> t_old) adjacency to t_new: finds the edge of
-  /// t_from whose neighbor is t_old and replaces it.
-  void replace_neighbor(Tri t_from, Tri t_old, Tri t_new);
 
   /// Endpoints of edge `edge` of t, ordered (so that together with vertex
   /// `edge` they form the CCW triangle).

@@ -1,6 +1,6 @@
 // Mesh quality metrics: the quantities refinement is supposed to improve.
-// Used by tests (quality must strictly improve), examples, and the
-// experiment log.
+// Used by tests (quality must strictly improve) and by morphbench's
+// per-op area check.
 #pragma once
 
 #include <array>

@@ -66,8 +66,6 @@ class LivelockWatchdog {
     return Action::kNone;
   }
 
-  std::uint32_t stalled_rounds() const { return stalled_; }
-
   /// The Status a driver should wrap in FaultError on kGiveUp.
   Status give_up_status(const char* where) const {
     return Status(StatusCode::kLivelock,

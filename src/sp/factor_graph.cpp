@@ -143,12 +143,6 @@ bool FactorGraph::propagate_units() {
   return true;
 }
 
-std::uint32_t FactorGraph::alive_lits() const {
-  std::uint32_t n = 0;
-  for (std::uint8_t a : lit_alive) n += a;
-  return n;
-}
-
 std::uint32_t FactorGraph::alive_clauses() const {
   std::uint32_t n = 0;
   for (std::uint8_t a : clause_alive) n += a;

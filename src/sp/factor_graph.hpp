@@ -76,7 +76,6 @@ struct FactorGraph {
 
   std::size_t num_edges() const { return eta.size(); }
   std::uint32_t clause_of_edge(std::uint32_t e) const { return e / k; }
-  std::uint32_t slot_of_edge(std::uint32_t e) const { return e % k; }
 
   void init_surveys(Rng& rng);
 
@@ -91,7 +90,6 @@ struct FactorGraph {
   /// endgame never faces hidden conflicting units.
   bool propagate_units();
 
-  std::uint32_t alive_lits() const;
   std::uint32_t alive_clauses() const;
 };
 

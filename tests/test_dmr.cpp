@@ -1,6 +1,7 @@
 // Tests for Delaunay mesh refinement: geometry predicates, the mesh
-// structure, Bowyer-Watson triangulation, cavities, and the three
-// refinement drivers (serial / multicore / GPU) across schemes and options.
+// structure, Bowyer-Watson triangulation, cavities, the three refinement
+// drivers (serial / multicore / GPU) across schemes and options, and the
+// mesh quality metrics.
 #include <gtest/gtest.h>
 
 #include <ostream>
@@ -10,6 +11,7 @@
 #include "dmr/delaunay.hpp"
 #include "dmr/geometry.hpp"
 #include "dmr/mesh.hpp"
+#include "dmr/quality.hpp"
 #include "dmr/refine.hpp"
 #include "support/rng.hpp"
 #include "telemetry/trace.hpp"
@@ -553,6 +555,37 @@ TEST(Mesh, CompactAndReorderPreservesGeometry) {
   std::string why;
   EXPECT_TRUE(copy.validate(&why)) << why;
   EXPECT_TRUE(is_delaunay(copy));
+}
+
+// ---- quality metrics ----
+
+TEST(Quality, UnitSquareAreaIsInvariantUnderRefinement) {
+  Mesh m = generate_input_mesh(2000, 3);
+  EXPECT_NEAR(total_area(m), 1.0, 1e-9);
+  refine_serial(m);
+  EXPECT_NEAR(total_area(m), 1.0, 1e-9);
+}
+
+TEST(Quality, RefinementLiftsMinimumAngle) {
+  Mesh m = generate_input_mesh(2000, 4);
+  const QualityReport before = measure_quality(m);
+  refine_serial(m);
+  const QualityReport after = measure_quality(m);
+  EXPECT_LT(before.min_angle_deg, 30.0);
+  EXPECT_GE(after.min_angle_deg, 30.0 - 1e-9);
+  EXPECT_GT(after.mean_min_angle_deg, before.mean_min_angle_deg);
+  // All triangles now live in the [30,60] min-angle buckets.
+  EXPECT_EQ(after.min_angle_histogram[0], 0u);
+  EXPECT_EQ(after.min_angle_histogram[1], 0u);
+  EXPECT_EQ(after.min_angle_histogram[2], 0u);
+  EXPECT_EQ(after.triangles, m.num_live());
+}
+
+TEST(Quality, EmptyMesh) {
+  Mesh m;
+  const QualityReport q = measure_quality(m);
+  EXPECT_EQ(q.triangles, 0u);
+  EXPECT_EQ(q.total_area, 0.0);
 }
 
 }  // namespace

@@ -1,13 +1,10 @@
-// Unit tests for the graph substrate: CSR, generators, union-find, DIMACS
-// IO.
+// Unit tests for the graph substrate: CSR, generators, union-find.
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
 
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
-#include "graph/io.hpp"
 #include "graph/union_find.hpp"
 
 namespace morph::graph {
@@ -138,32 +135,6 @@ TEST(UnionFind, TransitiveMerges) {
 TEST(UnionFind, OutOfRangeThrows) {
   UnionFind uf(3);
   EXPECT_THROW(uf.find(3), CheckError);
-}
-
-TEST(Io, DimacsRoundTrip) {
-  auto edges = gen_random_uniform(50, 120, 30, 9);
-  std::stringstream ss;
-  write_dimacs(ss, 50, edges);
-  Node n = 0;
-  auto back = read_dimacs(ss, n);
-  EXPECT_EQ(n, 50u);
-  ASSERT_EQ(back.size(), edges.size());
-  auto key = [](const Edge& e) {
-    return std::tuple(std::min(e.src, e.dst), std::max(e.src, e.dst),
-                      e.weight);
-  };
-  std::multiset<std::tuple<Node, Node, Weight>> a, b;
-  for (const Edge& e : edges) a.insert(key(e));
-  for (const Edge& e : back) b.insert(key(e));
-  EXPECT_EQ(a, b);
-}
-
-TEST(Io, DimacsSkipsCommentsAndDupes) {
-  std::stringstream ss("c comment\np sp 4 3\na 1 2 5\nc mid\na 2 1 5\na 3 4 7\n");
-  Node n = 0;
-  auto edges = read_dimacs(ss, n);
-  EXPECT_EQ(n, 4u);
-  EXPECT_EQ(edges.size(), 2u);  // the reverse arc collapses
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the Boruvka MST variants: agreement with Kruskal across graph
-// families, forests on disconnected inputs, ties, and the cost asymmetries
-// behind Fig. 11.
+// families, forests on disconnected inputs, ties, the cost asymmetries
+// behind Fig. 11, and structural forest verification.
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
@@ -190,6 +190,37 @@ TEST(GpuBoruvka, ParallelEdgesAndTriangles) {
   const MstResult r = mst_gpu(g, dev);
   EXPECT_EQ(r.total_weight, mst_kruskal(g).total_weight);
   EXPECT_EQ(r.total_weight, 6u);
+}
+
+TEST(VerifyForest, AcceptsAllVariants) {
+  auto edges = graph::gen_random_uniform(500, 2500, 1000, 21);
+  auto g = graph::CsrGraph::from_undirected_edges(500, edges);
+  gpu::Device dev;
+  cpu::ParallelRunner r1, r2;
+  EXPECT_TRUE(verify_forest(g, mst_kruskal(g)));
+  EXPECT_TRUE(verify_forest(g, mst_gpu(g, dev)));
+  EXPECT_TRUE(verify_forest(g, mst_edge_merge(g, r1)));
+  EXPECT_TRUE(verify_forest(g, mst_union_find(g, r2)));
+}
+
+TEST(VerifyForest, RejectsTamperedResults) {
+  auto edges = graph::gen_grid2d(10, 50, 22);
+  auto g = graph::CsrGraph::from_undirected_edges(100, edges);
+  MstResult r = mst_kruskal(g);
+  ASSERT_TRUE(verify_forest(g, r));
+
+  MstResult wrong_weight = r;
+  wrong_weight.total_weight += 1;
+  EXPECT_FALSE(verify_forest(g, wrong_weight));
+
+  MstResult phantom_edge = r;
+  phantom_edge.edges.back() = {0, 99};  // not an edge of the grid
+  EXPECT_FALSE(verify_forest(g, phantom_edge));
+
+  MstResult cyclic = r;
+  cyclic.edges.push_back(cyclic.edges.front());
+  ++cyclic.tree_edges;
+  EXPECT_FALSE(verify_forest(g, cyclic));
 }
 
 }  // namespace

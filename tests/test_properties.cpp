@@ -8,7 +8,6 @@
 #include "graph/generators.hpp"
 #include "mst/mst.hpp"
 #include "pta/solve.hpp"
-#include "sp/cnf.hpp"
 #include "sp/survey.hpp"
 #include "support/rng.hpp"
 
@@ -184,18 +183,6 @@ TEST(SpProperty, K4HardInstanceRunsAndReports) {
   if (r.solved) {
     EXPECT_TRUE(sp::check_assignment(f, r.assignment));
   }
-}
-
-TEST(SpProperty, CnfRoundTripPreservesSolverTrajectory) {
-  auto f = sp::random_ksat(300, 1050, 3, 45);
-  std::stringstream ss;
-  sp::write_dimacs_cnf(f, ss);
-  const sp::Formula back = sp::read_dimacs_cnf(ss);
-  const sp::SpResult a = sp::solve_serial(f, {.seed = 7});
-  const sp::SpResult b = sp::solve_serial(back, {.seed = 7});
-  EXPECT_EQ(a.solved, b.solved);
-  EXPECT_EQ(a.sweeps, b.sweeps);
-  EXPECT_EQ(a.fixed_by_sp, b.fixed_by_sp);
 }
 
 // ---- MST properties ----
